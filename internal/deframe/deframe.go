@@ -151,6 +151,12 @@ type StepReport struct {
 	Score        int64 // chosen seed's objective value
 	MeanUpper    int64 // certificate: Score ≤ MeanUpper
 	Evals        int   // scorer invocations spent selecting the seed
+	// ExpandedBits counts the chunk bits expanded while scoring the seed
+	// space: seeds × live chunks × Bits on the table path (the chunks of
+	// the nodes Propose reads), evaluations × Chunks × Bits on the naive
+	// path, which materializes every chunk per evaluation. Deterministic,
+	// so it records the expansion saving on any host.
+	ExpandedBits int64
 	Chunks       int
 	PRGName      string
 }
@@ -243,9 +249,11 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	var err error
 	if o.NaiveScoring || !step.Decomposable() {
 		res, prop, err = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
+		rep.ExpandedBits = int64(res.Evals) * int64(numChunks*step.Bits)
 	} else {
 		eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks, o.Cache)
 		res, prop, err = eng.selectSeedTable(o)
+		rep.ExpandedBits = int64(res.Evals) * int64(eng.seedBits)
 	}
 	if err != nil {
 		sp.End(0, 0, 0)

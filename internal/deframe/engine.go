@@ -19,11 +19,12 @@ import (
 //     ChunkedSource and an hknt.Scratch) checked out of the run's Cache:
 //     pooled across seeds within a step, across steps within a run, and —
 //     when the Cache belongs to a long-lived Solver — across runs,
-//   - re-expands only the live chunks per seed: the chunks covering the
-//     step's participants (plus any declared extra bit readers, e.g.
-//     clique leaders), threaded through the pooled scratch's
-//     ReseedChunks, so per-seed expansion cost tracks the step's
-//     participant set instead of the whole graph,
+//   - re-expands only the live chunks per seed: the chunks of the nodes
+//     whose bits Propose reads — the step's declared Readers (for
+//     SynchColorTrial, the clique leaders that draw), or its participants
+//     when Readers is nil — threaded through the pooled scratch's
+//     ReseedChunks, so per-seed expansion cost tracks the bits actually
+//     read instead of the whole graph (StepReport.ExpandedBits counts it),
 //   - records each seed's per-chunk score contributions straight into the
 //     seed's contiguous row of the seed-major condexp.ContribTable
 //     (zero-copy: the fill writes its final cells in place) — win-counting
@@ -53,11 +54,13 @@ type stepEngine struct {
 	numChunks int
 	nChunks   int // score chunks (table rows)
 
-	// liveChunks lists the distinct PRG chunks the step's Propose may
-	// read: those of the participants plus the step's declared extra
-	// readers. nil when every chunk is live (sparse re-expansion would
-	// save nothing).
+	// liveChunks lists the distinct PRG chunks the step's Propose reads:
+	// those of step.Readers, or of the participants when Readers is nil.
+	// nil when every chunk is live (sparse re-expansion would save
+	// nothing).
 	liveChunks []int32
+	// seedBits is the PRG output expanded per seed: live chunks × Bits.
+	seedBits int
 	// bounds[c] is the first participant index of score chunk c — the
 	// c*np/k partition computed once instead of per chunk per seed.
 	bounds []int32
@@ -81,24 +84,22 @@ func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, 
 		nChunks: condexp.ScoreChunks(len(parts)),
 		cache:   cache,
 	}
+	readers := parts
+	if step.Readers != nil {
+		readers = step.Readers(st)
+	}
 	seen := make([]bool, numChunks)
-	live := make([]int32, 0, len(parts))
-	mark := func(v int32) {
+	live := make([]int32, 0, len(readers))
+	for _, v := range readers {
 		if c := chunkOf[v]; !seen[c] {
 			seen[c] = true
 			live = append(live, c)
 		}
 	}
-	for _, v := range parts {
-		mark(v)
-	}
-	if step.Readers != nil {
-		for _, v := range step.Readers(st) {
-			mark(v)
-		}
-	}
+	e.seedBits = numChunks * step.Bits
 	if len(live) < numChunks {
 		e.liveChunks = live
+		e.seedBits = len(live) * step.Bits
 	}
 	e.bounds = condexp.ChunkBounds(len(parts), e.nChunks)
 	return e

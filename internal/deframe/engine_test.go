@@ -182,3 +182,61 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandedBitsCountsReaderChunks replays the first recursion level's
+// schedule step by step and pins StepReport.ExpandedBits on the table
+// path to seeds × distinct chunks of the nodes Propose reads × Bits: the
+// participants' chunks for per-participant trials, and for dense/synch
+// only the drawing leaders' chunks — fewer than its participants'.
+func TestExpandedBitsCountsReaderChunks(t *testing.T) {
+	distinctChunks := func(chunkOf []int32, nodes []int32) int {
+		seen := map[int32]bool{}
+		for _, v := range nodes {
+			seen[chunkOf[v]] = true
+		}
+		return len(seen)
+	}
+	for _, tc := range []struct {
+		name string
+		in   *d1lc.Instance
+	}{
+		{"cliques", d1lc.TrivialPalettes(graph.CliquesPlusMatching(3, 12, 2))},
+		{"mixed", d1lc.TrivialPalettes(graph.Mixed(150, 5))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := smallOpts().withDefaults(tc.in.G.MaxDegree())
+			st := hknt.NewState(tc.in)
+			build := hknt.BuildColorMiddle(st, o.Tunables)
+			chunkOf, numChunks, _ := chunkAssignment(nil, tc.in.G, o.ChunkRadius, o.MaxChunkGraphEdges)
+			synchRan := false
+			for i := range build.Schedule.Steps {
+				step := &build.Schedule.Steps[i]
+				parts := step.Participants(st)
+				readers := parts
+				if step.Readers != nil {
+					readers = step.Readers(st)
+				}
+				var want int64
+				if len(parts) > 0 {
+					want = int64(1<<o.SeedBits) * int64(distinctChunks(chunkOf, readers)*step.Bits)
+				}
+				if step.Name == "dense/synch" && len(parts) > 0 {
+					synchRan = true
+					if r, p := distinctChunks(chunkOf, readers), distinctChunks(chunkOf, parts); r >= p {
+						t.Fatalf("synch reads %d chunks, not fewer than its participants' %d", r, p)
+					}
+				}
+				rep, err := DerandomizeStep(st, step, chunkOf, numChunks, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.ExpandedBits != want {
+					t.Fatalf("step %d (%s): ExpandedBits %d, want %d", i, step.Name, rep.ExpandedBits, want)
+				}
+			}
+			if !synchRan {
+				t.Fatal("dense/synch had no participants; the check is vacuous")
+			}
+		})
+	}
+}

@@ -209,14 +209,15 @@ func stepSynch(name string, cliques []CliqueInfo, maxPal int, tun Tunables) Step
 			}
 			return out
 		},
-		// Leaders draw the permutation bits but need not be participants
-		// themselves (an uncolored leader may be deferred or put aside):
-		// declare them so the sparse-chunk engine expands their chunks.
+		// Only leaders draw: each uncolored leader with a live inlier
+		// other than itself reads one permutation (SynchColorTrialPropose
+		// skips every other clique). Leaders need not be participants
+		// (an uncolored leader may be deferred or put aside).
 		Readers: func(st *State) []int32 {
 			var out []int32
 			for i := range cliques {
-				if !st.Colored(cliques[i].Leader) {
-					out = append(out, cliques[i].Leader)
+				if c := &cliques[i]; !st.Colored(c.Leader) && hasLiveInlier(st, c) {
+					out = append(out, c.Leader)
 				}
 			}
 			return out
@@ -242,6 +243,18 @@ func stepSynch(name string, cliques []CliqueInfo, maxPal int, tun Tunables) Step
 			return live == 0 || float64(fails) <= tun.SynchFailFrac*float64(live)
 		},
 	}
+}
+
+// hasLiveInlier reports whether clique c has a live inlier other than its
+// leader: the condition under which SynchColorTrialPropose draws the
+// leader's permutation.
+func hasLiveInlier(st *State, c *CliqueInfo) bool {
+	for _, v := range c.Inliers {
+		if st.Live(v) && v != c.Leader {
+			return true
+		}
+	}
+	return false
 }
 
 // ColorPutAside greedily colors every put-aside node from its maintained

@@ -23,12 +23,14 @@ type Step struct {
 	// Participants selects the nodes running the procedure, given the
 	// current state. Non-live nodes are filtered by the trials themselves.
 	Participants func(st *State) []int32
-	// Readers optionally lists extra non-participant nodes whose random
-	// bits Propose may consult (e.g. clique leaders drawing permutations
-	// for their inliers). The sparse-chunk scoring engine re-expands only
-	// the PRG chunks of participants ∪ Readers per seed; nil means Propose
-	// reads bits for participants only, which holds for every trial that
-	// draws per-participant.
+	// Readers, when set, returns exactly the nodes whose random bits
+	// Propose reads under st: every node Propose passes to BitsFor must be
+	// listed, participant or not. SynchColorTrial sets it because only
+	// clique leaders draw, each a permutation for its inliers. nil means
+	// "the participants", which holds for every trial that draws per
+	// participant. The scoring engine re-expands only the readers' PRG
+	// chunks per seed, so an under-declared reader silently sees stale
+	// bits; TestProposeReadsOnlyDeclaredReaders pins the contract.
 	Readers func(st *State) []int32
 	// Propose runs the procedure without mutating state. sc, when non-nil,
 	// supplies reusable buffers (see Scratch); the returned Proposal then

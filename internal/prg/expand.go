@@ -116,42 +116,89 @@ func (e *Expander) ExpandChunksInto(seed uint64, dst []uint64, chunks []int32, b
 
 // expandKWiseChunks evaluates exactly the requested bit positions: KWise
 // bit i is the LSB of the seed polynomial at i+1, independent of every
-// other position. Each chunk is a contiguous run of points, so the
-// polynomial advances by finite differences (k−1 modular additions per
-// bit instead of Horner's multiplications), and bits accumulate into a
-// register word stored once per destination word — together ~2-3× less
-// arithmetic than per-bit Horner with per-bit stores, measured at n=3000
-// where expansion dominates the table fill.
+// other position, so each chunk is one stepKWise run over its range.
 func (e *Expander) expandKWiseChunks(p *KWise, seed uint64, dst []uint64, chunks []int32, bitsPer int) {
+	e.seedPoly(p, seed)
+	for _, c := range chunks {
+		e.stepKWise(dst, int(c)*bitsPer, (int(c)+1)*bitsPer)
+	}
+}
+
+// seedPoly draws the seed's polynomial coefficients into the reused
+// Poly, exactly as KWise.Expand derives them.
+func (e *Expander) seedPoly(p *KWise, seed uint64) {
 	raw := e.grow(p.k)
 	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
 	for i := range raw {
 		raw[i] = s.Uint64()
 	}
 	e.poly.SetCoef(raw)
-	for _, c := range chunks {
-		lo, hi := int(c)*bitsPer, (int(c)+1)*bitsPer
-		st := e.poly.Stepper(uint64(lo)+1, e.diffs)
-		for i := lo; i < hi; {
-			wi := i >> 6
-			end := (wi + 1) << 6
-			if end > hi {
-				end = hi
+}
+
+// stepKWise writes KWise output bits [lo, hi) of the seeded polynomial
+// into dst, leaving every other bit position untouched. The run is one
+// contiguous sequence of points, so the polynomial advances by finite
+// differences (k−1 modular additions per bit instead of Horner's
+// multiplications), and bits accumulate into a register word merged into
+// dst once per destination word.
+//
+// For k ≤ 4 — production's constant k=4 — the difference table lives in
+// four locals: a lower-degree polynomial's table is padded with zero
+// differences, and adding a zero difference leaves a canonical residue
+// unchanged, so one loop computes every such k bit-identically. Larger k
+// steps the table slice through PolyStepper.Advance.
+func (e *Expander) stepKWise(dst []uint64, lo, hi int) {
+	st := e.poly.Stepper(uint64(lo)+1, e.diffs)
+	e.diffs = st.Diffs()
+	if len(e.diffs) <= 4 {
+		var d [4]uint64 // zero-padded for k < 4
+		copy(d[:], e.diffs)
+		d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+		for start := lo; start < hi; {
+			end := min((start|63)+1, hi)
+			var w uint64
+			for n := start; n < end; n++ {
+				w = w>>1 | d0<<63
+				d0, d1, d2 = addmod61(d0, d1), addmod61(d1, d2), addmod61(d2, d3)
 			}
-			w := dst[wi]
-			for ; i < end; i++ {
-				mask := uint64(1) << uint(i&63)
-				if st.Value()&1 == 1 {
-					w |= mask
-				} else {
-					w &^= mask
-				}
-				st.Advance()
-			}
-			dst[wi] = w
+			storeRun(dst, start, end, w)
+			start = end
 		}
-		e.diffs = st.Diffs()
+		return
 	}
+	for start := lo; start < hi; {
+		end := min((start|63)+1, hi)
+		var w uint64
+		for n := start; n < end; n++ {
+			w = w>>1 | st.Value()<<63
+			st.Advance()
+		}
+		storeRun(dst, start, end, w)
+		start = end
+	}
+}
+
+// storeRun writes a run's bits into positions [start, end) of dst, all
+// inside one word, keeping the word's other bits: one read-modify-write
+// per destination word. The run's loop shifted each bit in from the top,
+// so w holds position end−1 at bit 63 and the run's bits in its top
+// end−start positions.
+func storeRun(dst []uint64, start, end int, w uint64) {
+	shift := uint(64-(end-start)) & 63
+	mask := ^uint64(0) >> shift << uint(start&63)
+	wi := start >> 6
+	dst[wi] = dst[wi]&^mask | w>>shift<<uint(start&63)
+}
+
+// addmod61 returns a+b mod 2^61−1 for canonical residues a, b: the
+// finite-difference step of hashfam.PolyStepper.Advance, inlined into the
+// register loop.
+func addmod61(a, b uint64) uint64 {
+	s := a + b
+	if s >= hashfam.MersennePrime61 {
+		s -= hashfam.MersennePrime61
+	}
+	return s
 }
 
 // expandNisanChunks reconstructs only the leaf blocks covering the
@@ -219,24 +266,12 @@ func (e *Expander) expandNisanChunks(p *Nisan, seed uint64, dst []uint64, chunks
 }
 
 // expandKWise mirrors KWise.Expand with reused coefficient storage,
-// walking the whole output as one finite-difference run (KWise.Expand
-// itself stays per-bit Horner: it is the independent reference the
-// expander is differentially tested against).
+// walking the whole output as one stepKWise run (KWise.Expand itself
+// stays per-bit Horner: it is the independent reference the expander is
+// differentially tested against).
 func (e *Expander) expandKWise(p *KWise, seed uint64, dst []uint64, nbits int) {
-	raw := e.grow(p.k)
-	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
-	for i := range raw {
-		raw[i] = s.Uint64()
-	}
-	e.poly.SetCoef(raw)
-	st := e.poly.Stepper(1, e.diffs)
-	for i := 0; i < nbits; i++ {
-		if st.Value()&1 == 1 {
-			dst[i>>6] |= 1 << uint(i&63)
-		}
-		st.Advance()
-	}
-	e.diffs = st.Diffs()
+	e.seedPoly(p, seed)
+	e.stepKWise(dst, 0, nbits)
 }
 
 // expandNisan mirrors Nisan.Expand, building the recursion tree in place:

@@ -16,9 +16,13 @@ func expandRef(p PRG, seed uint64, nbits int) []uint64 {
 }
 
 func TestExpandIntoBitIdentical(t *testing.T) {
+	// KWise k ≤ 4 steps its difference table in registers and k > 4
+	// through the table slice; both must match Horner bit for bit.
 	gens := []PRG{
 		NewKWise(4, 6, 300),
 		NewKWise(2, 5, 64),
+		NewKWise(2, 5, 300),
+		NewKWise(8, 5, 300),
 		NewNisan(64, 3, 6),
 		NewNisan(17, 4, 5),
 	}
@@ -29,6 +33,9 @@ func TestExpandIntoBitIdentical(t *testing.T) {
 				continue
 			}
 			dst := make([]uint64, (nbits+63)/64)
+			for i := range dst {
+				dst[i] = ^uint64(0) // ExpandInto must clear, not OR into, stale bits
+			}
 			for seed := uint64(0); seed < uint64(NumSeeds(p)); seed += 3 {
 				e.ExpandInto(seed, dst, nbits)
 				ref := expandRef(p, seed, nbits)
@@ -97,15 +104,11 @@ func TestChunkedScratchMatchesNewChunkedSource(t *testing.T) {
 func TestExpandChunksIntoBitIdentical(t *testing.T) {
 	// The sparse rewrite of an arbitrary chunk subset must reproduce
 	// exactly the full expansion's bits on those ranges — for both
-	// random-access generators, at chunk widths that straddle word
-	// boundaries, on top of a dirty buffer left by another seed.
-	const numChunks, bitsPer = 11, 37
-	nbits := numChunks * bitsPer
-	gens := []PRG{
-		NewKWise(4, 5, nbits),
-		NewNisan(64, 4, 5),
-		NewNisan(23, 5, 4),
-	}
+	// random-access generators, KWise on both stepping loops (registers
+	// for k ≤ 4, the table slice for k > 4), at chunk widths that
+	// straddle word boundaries or span several words, on top of a dirty
+	// buffer left by another seed.
+	const numChunks = 11
 	subsets := [][]int32{
 		{0},
 		{numChunks - 1},
@@ -113,22 +116,40 @@ func TestExpandChunksIntoBitIdentical(t *testing.T) {
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		{5, 5, 2}, // duplicates allowed
 	}
-	for _, p := range gens {
-		if p.OutputBits() < nbits {
-			t.Fatalf("%s too short for the test shape", p.Name())
+	for _, bitsPer := range []int{37, 130} {
+		nbits := numChunks * bitsPer
+		gens := []PRG{
+			NewKWise(4, 5, nbits),
+			NewKWise(2, 5, nbits),
+			NewKWise(8, 5, nbits),
+			NewNisan(64, 5, 5),
+			NewNisan(23, 6, 4),
 		}
-		e := NewExpander(p)
-		dst := make([]uint64, (nbits+63)/64)
-		for seed := uint64(0); seed < uint64(NumSeeds(p)); seed += 5 {
-			// Dirty the buffer with a different seed's full expansion.
-			e.ExpandInto(seed^1, dst, nbits)
-			for _, chunks := range subsets {
-				e.ExpandChunksInto(seed, dst, chunks, bitsPer, nbits)
+		for _, p := range gens {
+			if p.OutputBits() < nbits {
+				t.Fatalf("%s too short for the test shape", p.Name())
+			}
+			e := NewExpander(p)
+			dst := make([]uint64, (nbits+63)/64)
+			for seed := uint64(0); seed < uint64(NumSeeds(p)); seed += 5 {
 				ref := expandRef(p, seed, nbits)
-				for _, c := range chunks {
-					for i := int(c) * bitsPer; i < (int(c)+1)*bitsPer; i++ {
-						if dst[i>>6]>>uint(i&63)&1 != ref[i>>6]>>uint(i&63)&1 {
-							t.Fatalf("%s seed=%d chunk=%d bit %d differs", p.Name(), seed, c, i)
+				for _, chunks := range subsets {
+					// Dirty the buffer with a different seed's full expansion.
+					e.ExpandInto(seed^1, dst, nbits)
+					e.ExpandChunksInto(seed, dst, chunks, bitsPer, nbits)
+					dirty := expandRef(p, seed^1, nbits)
+					listed := make([]bool, numChunks)
+					for _, c := range chunks {
+						listed[c] = true
+					}
+					for i := 0; i < nbits; i++ {
+						want := dirty
+						if listed[i/bitsPer] {
+							want = ref
+						}
+						if dst[i>>6]>>uint(i&63)&1 != want[i>>6]>>uint(i&63)&1 {
+							t.Fatalf("%s bitsPer=%d seed=%d chunks=%v: bit %d (chunk %d, listed=%v) differs",
+								p.Name(), bitsPer, seed, chunks, i, i/bitsPer, listed[i/bitsPer])
 						}
 					}
 				}
