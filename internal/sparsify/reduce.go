@@ -156,8 +156,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 		sp.End(0, 0, 0)
 		return nil, rep, err
 	}
-	// SeedEvals ≈ hash seeds tried: the searches stop at the chosen seed.
-	sp.End(int(part.NodeSeed+part.ColorSeed)+2, n-part.MovedToMid, part.MovedToMid)
+	sp.End(part.SeedsTried, n-part.MovedToMid, part.MovedToMid)
 	rep.Partitions = 1
 	rep.MovedToMid = part.MovedToMid
 	// Lemma 23(a) certificate from the precomputed d′ — no per-node

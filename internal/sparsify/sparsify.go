@@ -45,6 +45,24 @@
 // parallel and uses the pre-move d′: it flags a (deterministic) superset
 // of the nodes a live sequential sweep would move, and every kept node's
 // certificate still holds because moves only ever decrease d′.
+//
+// # Per-seed color table
+//
+// The color-seed search counts, per seed, how many colors of p(v) land in
+// v's bin. A color's bin does not depend on the node, so each seed is
+// tabulated once over the color span [lo, hi] of the palettes the search
+// counts (high-degree nodes in restricted bins): one byte per color plus,
+// per bin b, prefix counts of the colors in [lo, lo+i) hashed to b.
+// Palettes are sorted and duplicate-free, so p(v) is one contiguous run
+// exactly when p[last]−p[0] = |p(v)|−1; such a palette (trivial, Δ+1 and
+// shifted palettes) is counted with two prefix lookups, any other with
+// one byte lookup per entry. The table width is capped at
+// min(hi−lo+1, ⌈Σ|p(v)|/bins⌉), so the prefix rows never outgrow the
+// palettes' own storage; colors past the cap (sparse or negative IDs) are
+// hashed directly. A seed then costs |span| hash evaluations instead of
+// Σ|p(v)|, and the chosen seed's table serves property enforcement and
+// palette extraction as well. Every lookup equals hashfam.Poly.Bin, so
+// seeds, bins and colorings are those of per-entry hashing.
 package sparsify
 
 import (
@@ -154,15 +172,18 @@ type Partition struct {
 	// NodeBin[v] ∈ [0, Bins) for partitioned nodes, or −1 for G_mid
 	// members (low-degree nodes plus property violators).
 	NodeBin []int32
-	// ColorBin maps a color to a bin in [0, Bins−1) — bins 0..Bins−2 get
-	// restricted palettes; the last node bin (Bins−1) keeps unrestricted
-	// palettes and is solved after the others (Algorithm 11 line 3).
-	ColorBin func(c int32) int
+	// colors tabulates the selected color hash (see ColorBin); the color
+	// search, property enforcement and extraction all read it.
+	colors *colorTable
 	// MovedToMid counts property violators relocated to G_mid.
 	MovedToMid int
 	// NodeSeed/ColorSeed record the selected hash seeds.
 	NodeSeed, ColorSeed uint64
-	Strategy            Strategy
+	// SeedsTried counts the hash seeds the node and color searches
+	// evaluated (a search that never reaches zero violations tries all
+	// MaxSeedTries).
+	SeedsTried int
+	Strategy   Strategy
 	// SameBinDeg[v] is d′(v) under the final bins (property violators
 	// already moved), computed in one parallel neighbor pass and reused by
 	// the Lemma 23(a) certificate and the solve schedule. SameBinDegree
@@ -185,22 +206,17 @@ func (p *Partition) SameBinDegree(g *graph.Graph, v int32) int {
 	return d
 }
 
+// ColorBin maps a color to a bin in [0, Bins−1) — bins 0..Bins−2 get
+// restricted palettes; the last node bin (Bins−1) keeps unrestricted
+// palettes and is solved after the others (Algorithm 11 line 3).
+func (p *Partition) ColorBin(c int32) int { return p.colors.colorBin(c) }
+
 // restrictedPalette returns p′(v): the palette v keeps inside its bin.
 func (p *Partition) restrictedPalette(in *d1lc.Instance, v int32) []int32 {
-	b := p.NodeBin[v]
-	if b < 0 {
-		return in.Palettes[v]
+	if b := p.NodeBin[v]; b < 0 || int(b) == p.Bins-1 {
+		return in.Palettes[v] // G_mid and the catch-all node bin keep everything
 	}
-	if int(b) == p.Bins-1 {
-		return in.Palettes[v] // catch-all node bin keeps everything
-	}
-	var out []int32
-	for _, c := range in.Palettes[v] {
-		if p.ColorBin(c) == int(b) {
-			out = append(out, c)
-		}
-	}
-	return out
+	return p.appendRestrictedPalette(nil, in, v)
 }
 
 // restrictedPaletteLen returns p′(v) = len(restrictedPalette) without
@@ -210,13 +226,7 @@ func (p *Partition) restrictedPaletteLen(in *d1lc.Instance, v int32) int {
 	if b < 0 || int(b) == p.Bins-1 {
 		return len(in.Palettes[v])
 	}
-	n := 0
-	for _, c := range in.Palettes[v] {
-		if p.ColorBin(c) == int(b) {
-			n++
-		}
-	}
-	return n
+	return p.colors.count(in.Palettes[v], int(b))
 }
 
 // appendRestrictedPalette appends p′(v)'s colors to dst and returns it:
@@ -230,7 +240,7 @@ func (p *Partition) appendRestrictedPalette(dst []int32, in *d1lc.Instance, v in
 		return append(dst, in.Palettes[v]...)
 	}
 	for _, c := range in.Palettes[v] {
-		if p.ColorBin(c) == int(b) {
+		if p.colors.colorBin(c) == int(b) {
 			dst = append(dst, c)
 		}
 	}
@@ -268,7 +278,7 @@ func Compute(in *d1lc.Instance, o Options) (*Partition, error) {
 			part.NodeBin[v] = int32(h.Bin(uint64(v)+1, o.Bins))
 		}
 	default: // SeedSearch
-		part.NodeSeed = searchNodeSeed(part, g, highDeg, o)
+		part.NodeSeed, part.SeedsTried = searchNodeSeed(part, g, highDeg, o)
 		h := hashfam.NewPoly(seedWords(part.NodeSeed, 2))
 		for _, v := range highDeg {
 			part.NodeBin[v] = int32(h.Bin(uint64(v)+1, o.Bins))
@@ -282,11 +292,16 @@ func Compute(in *d1lc.Instance, o Options) (*Partition, error) {
 
 	// Color bins: pairwise polynomial hash over colors, seed chosen to
 	// maximize the number of nodes keeping p′(v) > d′(v). (GF2 may have
-	// rounded Bins up to a power of two; use the effective count.)
-	part.ColorSeed = searchColorSeed(in, part, highDeg, sbd, o)
-	ch := hashfam.NewPoly(seedWords(part.ColorSeed, 2))
+	// rounded Bins up to a power of two; use the effective count.) The
+	// search tabulates each seed's hash over the counted palettes' color
+	// span; the chosen seed's table then serves enforcement and extraction.
 	colorBins := part.Bins - 1
-	part.ColorBin = func(c int32) int { return ch.Bin(uint64(c)+1, colorBins) }
+	lo, width := colorSpan(in, part, highDeg, colorBins)
+	part.colors = newColorTable(colorBins, lo, width)
+	colorSeed, colorTries := searchColorSeed(in, part, highDeg, sbd, o)
+	part.ColorSeed = colorSeed
+	part.SeedsTried += colorTries
+	part.colors.reset(colorSeed)
 
 	// Enforce Lemma 23 per-node properties in parallel; violators move to
 	// G_mid. Every node is checked against its pre-move d′, so the pass is
@@ -356,14 +371,15 @@ func propertiesHoldPre(in *d1lc.Instance, part *Partition, v int32, dPrime int) 
 
 // searchNodeSeed tries seeds in order and keeps the one minimizing the
 // number of per-node degree-property violations (deterministic; stops
-// early on zero violations).
-func searchNodeSeed(part *Partition, g *graph.Graph, highDeg []int32, o Options) uint64 {
-	bestSeed, bestViol := uint64(0), math.MaxInt
+// early on zero violations). It returns the seed and the seeds tried.
+func searchNodeSeed(part *Partition, g *graph.Graph, highDeg []int32, o Options) (uint64, int) {
+	bestSeed, bestViol, tried := uint64(0), math.MaxInt, 0
 	binOf := make([]int32, len(part.NodeBin))
 	for seed := uint64(0); seed < uint64(o.MaxSeedTries); seed++ {
 		if o.Par.Err() != nil {
 			break // cancelled: the caller discards the partition
 		}
+		tried++
 		h := hashfam.NewPoly(seedWords(seed, 2))
 		copy(binOf, part.NodeBin)
 		for _, v := range highDeg {
@@ -390,36 +406,31 @@ func searchNodeSeed(part *Partition, g *graph.Graph, highDeg []int32, o Options)
 			}
 		}
 	}
-	return bestSeed
+	return bestSeed, tried
 }
 
 // searchColorSeed picks the color-hash seed minimizing palette-property
-// violations given the node bins already in part.NodeBin. sbd carries
-// the precomputed d′ per node — it is seed-invariant (only node bins
-// determine it), so it is hoisted out of the per-seed loop instead of
-// being recomputed up to MaxSeedTries times per node.
-func searchColorSeed(in *d1lc.Instance, part *Partition, highDeg []int32, sbd []int32, o Options) uint64 {
-	colorBins := part.Bins - 1
-	bestSeed, bestViol := uint64(0), math.MaxInt
+// violations given the node bins already in part.NodeBin, and returns it
+// with the number of seeds tried. sbd carries the precomputed d′ per
+// node — it is seed-invariant (only node bins determine it), so it is
+// hoisted out of the per-seed loop instead of being recomputed up to
+// MaxSeedTries times per node. Each seed refills part.colors, so p′(v)
+// costs one count per node rather than one hash per palette entry.
+func searchColorSeed(in *d1lc.Instance, part *Partition, highDeg []int32, sbd []int32, o Options) (uint64, int) {
+	bestSeed, bestViol, tried := uint64(0), math.MaxInt, 0
 	for seed := uint64(0); seed < uint64(o.MaxSeedTries); seed++ {
 		if o.Par.Err() != nil {
 			break // cancelled: the caller discards the partition
 		}
-		h := hashfam.NewPoly(seedWords(seed, 2))
+		tried++
+		part.colors.reset(seed)
 		viol := int(o.Par.ReduceInt(len(highDeg), func(i int) int64 {
 			v := highDeg[i]
 			b := part.NodeBin[v]
 			if b < 0 || int(b) == part.Bins-1 {
 				return 0
 			}
-			dPrime := int(sbd[v])
-			pPrime := 0
-			for _, c := range in.Palettes[v] {
-				if h.Bin(uint64(c)+1, colorBins) == int(b) {
-					pPrime++
-				}
-			}
-			if dPrime >= pPrime {
+			if int(sbd[v]) >= part.colors.count(in.Palettes[v], int(b)) {
 				return 1
 			}
 			return 0
@@ -431,7 +442,7 @@ func searchColorSeed(in *d1lc.Instance, part *Partition, highDeg []int32, sbd []
 			}
 		}
 	}
-	return bestSeed
+	return bestSeed, tried
 }
 
 // assignGF2 builds node bins from log₂(bins) GF(2)-linear splits, each

@@ -198,12 +198,25 @@ func TestColorReduceEmpty(t *testing.T) {
 	}
 }
 
+// BenchmarkColorReduce times the whole recursion. The gnp-dense row
+// (trivial palettes, default Options) is dominated by the color-seed
+// search, which exhausts its seeds on most partitions there.
 func BenchmarkColorReduce(b *testing.B) {
-	in := d1lc.TrivialPalettes(graph.Gnp(500, 0.1, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ColorReduce(context.Background(), in, Options{Bins: 4, MidDegree: 16}, greedyBase); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		in   *d1lc.Instance
+		o    Options
+	}{
+		{"gnp-500", d1lc.TrivialPalettes(graph.Gnp(500, 0.1, 1)), Options{Bins: 4, MidDegree: 16}},
+		{"gnp-dense-2200", d1lc.TrivialPalettes(graph.Gnp(2200, 0.3, 1)), Options{}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ColorReduce(context.Background(), tc.in, tc.o, greedyBase); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
