@@ -89,6 +89,10 @@ type Options struct {
 	// MaxChunkGraphEdges bounds the materialized power graph; beyond it
 	// the derandomizer falls back to identity chunking (one chunk per
 	// node), which preserves correctness and costs only PRG output length.
+	// Each node's ball may hold max(MaxChunkGraphEdges/n, 8) nodes. When
+	// the ball of one maximum-degree node already overflows that, or is
+	// large enough that Linial's algorithm cannot reduce below n colors,
+	// identity chunks are returned without building the power graph.
 	// Default 2_000_000.
 	MaxChunkGraphEdges int
 	// MaxDepth is the recursion depth over deferred residues before the
@@ -186,24 +190,50 @@ func (r *Report) TotalDeferred() int {
 // coloring — the last leaf construction phases of a solve — run on r's
 // workers (nil = process default), so a budget-scoped solve never fans
 // out past its bound even while constructing.
+//
+// Before building, one bounded BFS from a maximum-degree node certifies
+// the two outcomes that need no build. If that ball exceeds the per-node
+// budget, the build would fail on it: identity chunks, mode "identity".
+// If its size b passes Linial's no-progress test (nextPrime(b+1)² ≥ n),
+// then so does Δ(G^radius) ≥ b, so the coloring would stop at round 0 and
+// normalize to the identity: identity chunks, mode "linial-power". Dense
+// graphs, where Δ(G^radius) ≫ √n, take this path and skip the build.
+// chunkOf and numChunks always equal the build's; only the mode label can
+// differ, when the probe ball fits but another node's ball (or the total
+// edge count) would have overflowed: the build reported "identity", the
+// shortcut reports "linial-power".
 func chunkAssignment(r *par.Runner, g *graph.Graph, radius, maxEdges int) (chunkOf []int32, numChunks int, mode string) {
 	n := g.N()
 	if n == 0 {
 		return nil, 0, "empty"
 	}
-	// Estimate ball growth; materialize only if affordable.
-	maxBall := maxEdges / maxInt(n, 1)
-	power, err := graph.PowerGraphPar(r, g, radius, maxInt(maxBall, 8))
-	if err == nil && power.M() <= maxEdges {
-		res := linial.ColorPar(r, power)
-		dense, count := linial.Normalize(res.Colors)
-		return dense, count, "linial-power"
+	maxBall := maxInt(maxEdges/n, 8)
+	mode = "identity"
+	if size, ok := graph.BallSize(g, maxDegreeNode(g), radius, maxBall); ok {
+		if linial.AtFixedPoint(size, n) {
+			mode = "linial-power"
+		} else if power, err := graph.PowerGraphPar(r, g, radius, maxBall); err == nil && power.M() <= maxEdges {
+			res := linial.ColorPar(r, power)
+			dense, count := linial.Normalize(res.Colors)
+			return dense, count, "linial-power"
+		}
 	}
 	chunkOf = make([]int32, n)
 	for v := range chunkOf {
 		chunkOf[v] = int32(v)
 	}
-	return chunkOf, n, "identity"
+	return chunkOf, n, mode
+}
+
+// maxDegreeNode returns the smallest-id node of maximum degree.
+func maxDegreeNode(g *graph.Graph) int32 {
+	best := int32(0)
+	for v := int32(1); v < int32(g.N()); v++ {
+		if g.Degree(v) > g.Degree(best) {
+			best = v
+		}
+	}
+	return best
 }
 
 // buildPRG constructs the generator for a step's chunk requirements.

@@ -92,27 +92,37 @@ func TestNisanPRGWorks(t *testing.T) {
 }
 
 func TestChunkAssignmentModes(t *testing.T) {
-	g := graph.Cycle(80)
-	chunkOf, num, mode := chunkAssignment(nil, g, 8, 2_000_000)
-	if mode != "linial-power" {
-		t.Fatalf("expected linial-power on a cycle, got %s", mode)
-	}
-	if num <= 8 {
-		t.Fatalf("chunk count %d too small for radius 8", num)
-	}
-	// Distance ≤ 8 nodes must get distinct chunks.
-	for v := 0; v < 80; v++ {
-		for d := 1; d <= 8; d++ {
-			u := (v + d) % 80
-			if chunkOf[v] == chunkOf[u] {
-				t.Fatalf("distance-%d nodes %d,%d share chunk", d, v, u)
+	// Δ(G^8) = 16 on a cycle. Cycle(80) sits at Linial's fixed point
+	// (k=1: 17² ≥ 80) and Cycle(1000) too (k=1 cannot encode 1000 colors,
+	// and k=2's q=37 has 37² ≥ 1000), so both keep identity chunks.
+	// Cycle(2000) reduces (37³ ≥ 2000 > 37²), so its G^8 coloring must use
+	// fewer than n chunks.
+	for _, n := range []int{80, 1000, 2000} {
+		g := graph.Cycle(n)
+		chunkOf, num, mode := chunkAssignment(nil, g, 8, 2_000_000)
+		if mode != "linial-power" {
+			t.Fatalf("n=%d: expected linial-power on a cycle, got %s", n, mode)
+		}
+		if num <= 8 {
+			t.Fatalf("n=%d: chunk count %d too small for radius 8", n, num)
+		}
+		if n == 2000 && num >= n {
+			t.Fatalf("n=%d: Linial left %d chunks, want fewer than n", n, num)
+		}
+		// Distance ≤ 8 nodes must get distinct chunks.
+		for v := 0; v < n; v++ {
+			for d := 1; d <= 8; d++ {
+				u := (v + d) % n
+				if chunkOf[v] == chunkOf[u] {
+					t.Fatalf("n=%d: distance-%d nodes %d,%d share chunk", n, d, v, u)
+				}
 			}
 		}
-	}
-	// Force identity mode with a tiny budget.
-	_, num2, mode2 := chunkAssignment(nil, g, 8, 10)
-	if mode2 != "identity" || num2 != 80 {
-		t.Fatalf("expected identity fallback, got %s/%d", mode2, num2)
+		// Force identity mode with a tiny budget.
+		_, num2, mode2 := chunkAssignment(nil, g, 8, 10)
+		if mode2 != "identity" || num2 != n {
+			t.Fatalf("n=%d: expected identity fallback, got %s/%d", n, mode2, num2)
+		}
 	}
 }
 

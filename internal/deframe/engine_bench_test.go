@@ -96,3 +96,25 @@ func BenchmarkChunkedSourceReseed(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkChunkAssignment measures Lemma 10's chunk assignment on both of
+// its paths: mixed-800, where one probe ball certifies Linial's fixed
+// point and no power graph is built, and cycle-3000, which builds and
+// colors G^8 (a bounded BFS per node on reused ball scratch).
+func BenchmarkChunkAssignment(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"mixed-800", graph.Mixed(800, 1)},
+		{"cycle-3000", graph.Cycle(3000)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			o := Options{}.withDefaults(tc.g.MaxDegree())
+			b.ReportAllocs()
+			for b.Loop() {
+				chunkAssignment(nil, tc.g, o.ChunkRadius, o.MaxChunkGraphEdges)
+			}
+		})
+	}
+}

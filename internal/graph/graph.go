@@ -496,6 +496,16 @@ bfs:
 	return out, true
 }
 
+// BallSize returns the number of nodes at distance [1, radius] from v —
+// v's degree in G^radius — with ok false once that count exceeds
+// maxBall > 0. It runs the bounded BFS PowerGraphPar runs per node, so
+// ok is false exactly when PowerGraphPar(g, radius, maxBall) would fail on
+// v's ball.
+func BallSize(g *Graph, v int32, radius, maxBall int) (size int, ok bool) {
+	ball, ok := newBallScratch(g.N(), maxBall).ball(g, v, radius, maxBall)
+	return len(ball), ok
+}
+
 // PowerGraph returns G^radius restricted to nodes whose balls stay within
 // maxBall (0 = unbounded): nodes u,v are adjacent iff their distance in G
 // is in [1, radius]. Used to build the G^{4τ} instance whose coloring
@@ -568,12 +578,14 @@ func PowerGraphPar(r *par.Runner, g *Graph, radius, maxBall int) (*Graph, error)
 // ballScratch is one worker's reusable state for bounded-radius BFS. With
 // a positive ball bound it tracks visited nodes in an open-addressing set
 // of O(maxBall) slots; unbounded callers get the classic O(n) stamp
-// array. Both variants produce identical deterministic traversals.
+// array. Both variants produce identical deterministic traversals, and
+// both record the entries a traversal fills so reset clears only those.
 type ballScratch struct {
 	stamp    []int32 // unbounded variant: node → -1 or visit marker
 	keys     []int32 // bounded variant: open-addressing set, -1 = empty
 	mask     uint32
-	out      []int32 // ball accumulator, reused across calls
+	filled   []uint32 // indices of stamp or keys set since the last reset
+	out      []int32  // ball accumulator, reused across calls
 	frontier []int32
 	next     []int32
 }
@@ -606,6 +618,7 @@ func (sc *ballScratch) visit(v int32) bool {
 			return false
 		}
 		sc.stamp[v] = 0
+		sc.filled = append(sc.filled, uint32(v))
 		return true
 	}
 	h := uint32(v) * 2654435761 & sc.mask
@@ -616,24 +629,25 @@ func (sc *ballScratch) visit(v int32) bool {
 		}
 		if k < 0 {
 			sc.keys[h] = v
+			sc.filled = append(sc.filled, h)
 			return true
 		}
 		h = (h + 1) & sc.mask
 	}
 }
 
-// reset clears the visited state touched by the last traversal.
-func (sc *ballScratch) reset(touched []int32, center int32) {
+// reset clears the entries the last traversal filled: O(ball), not
+// O(table), so reusing one scratch across every node costs no more than
+// the traversals themselves.
+func (sc *ballScratch) reset() {
+	set := sc.keys
 	if sc.stamp != nil {
-		sc.stamp[center] = -1
-		for _, u := range touched {
-			sc.stamp[u] = -1
-		}
-		return
+		set = sc.stamp
 	}
-	for i := range sc.keys {
-		sc.keys[i] = -1
+	for _, i := range sc.filled {
+		set[i] = -1
 	}
+	sc.filled = sc.filled[:0]
 }
 
 // ball runs the deterministic bounded BFS from v, returning all nodes at
@@ -665,7 +679,7 @@ bfs:
 		}
 		sc.frontier, sc.next = sc.next, sc.frontier
 	}
-	sc.reset(sc.out, v)
+	sc.reset()
 	if !ok {
 		return sc.out[:0], false
 	}

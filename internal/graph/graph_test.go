@@ -307,6 +307,45 @@ func TestPowerGraph(t *testing.T) {
 	}
 }
 
+// TestBallScratchReuse walks one reused scratch over every node's ball —
+// overflowing balls (ok=false) interleaved with small ones — and checks
+// each traversal against a fresh scratch, plus the table being fully
+// cleared afterwards: reset clears only the slots the traversal filled.
+func TestBallScratchReuse(t *testing.T) {
+	g := DisjointUnion(Complete(12), Path(8), Star(20), Cycle(30), Gnp(60, 0.05, 3))
+	order := make([]int32, 0, g.N()+2)
+	for v := int32(0); v < int32(g.N()); v++ {
+		order = append(order, v)
+	}
+	order = append(order, 0, 12) // a K12 overflow, then a path node's small ball
+	for _, maxBall := range []int{0, 10} {
+		for _, radius := range []int{1, 3} {
+			sc := newBallScratch(g.N(), maxBall)
+			for _, v := range order {
+				got, ok := sc.ball(g, v, radius, maxBall)
+				want, wantOK := newBallScratch(g.N(), maxBall).ball(g, v, radius, maxBall)
+				if ok != wantOK || len(got) != len(want) {
+					t.Fatalf("maxBall=%d radius=%d v=%d: reused (%d, %v), fresh (%d, %v)",
+						maxBall, radius, v, len(got), ok, len(want), wantOK)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("maxBall=%d radius=%d v=%d: ball differs at %d", maxBall, radius, v, i)
+					}
+				}
+				if size, sizeOK := BallSize(g, v, radius, maxBall); size != len(want) || sizeOK != wantOK {
+					t.Fatalf("BallSize(%d) = (%d, %v), want (%d, %v)", v, size, sizeOK, len(want), wantOK)
+				}
+				for i, k := range append(append([]int32{}, sc.keys...), sc.stamp...) {
+					if k != -1 {
+						t.Fatalf("maxBall=%d radius=%d v=%d: entry %d = %d left set", maxBall, radius, v, i, k)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestComponents(t *testing.T) {
 	g := DisjointUnion() // empty
 	if g.N() != 0 {

@@ -135,6 +135,52 @@ func (p Poly) Stepper(x0 uint64, buf []uint64) PolyStepper {
 	return PolyStepper{diffs: buf}
 }
 
+// CubicDiffs holds, for a Poly f of degree ≤ 3 (K() ≤ 4, coefficients
+// c0..c3 zero-padded), the coefficients of f and of its forward
+// differences as polynomials in x:
+//
+//	Δf  = (c1+c2+c3) + (2c2+3c3)x + 3c3x²
+//	Δ²f = (2c2+6c3) + 6c3x
+//	Δ³f = 6c3
+//
+// so the difference table at any start point costs six modular
+// multiplications (At) instead of Stepper's k Horner evaluations and
+// k(k−1)/2 subtractions. Derive it once per polynomial and seed many
+// consecutive-point runs from it.
+type CubicDiffs struct {
+	f  [4]uint64
+	d1 [3]uint64
+	d2 [2]uint64
+	d3 uint64
+}
+
+// CubicDiffs returns p's difference polynomials; ok is false when
+// K() > 4 (use Stepper there).
+func (p Poly) CubicDiffs() (c CubicDiffs, ok bool) {
+	if len(p.coef) > 4 {
+		return c, false
+	}
+	copy(c.f[:], p.coef)
+	c1, c2, c3 := c.f[1], c.f[2], c.f[3]
+	c3x3 := addmod61(addmod61(c3, c3), c3)
+	c3x6 := addmod61(c3x3, c3x3)
+	c.d1 = [3]uint64{addmod61(addmod61(c1, c2), c3), addmod61(addmod61(c2, c2), c3x3), c3x3}
+	c.d2 = [2]uint64{addmod61(addmod61(c2, c2), c3x6), c3x6}
+	c.d3 = c3x6
+	return c, true
+}
+
+// At returns Δ^j f(x0) for j = 0..3: bit-identical to the difference
+// table of p.Stepper(x0, nil), zero-padded to four entries (the
+// differences past a lower-degree polynomial's table vanish).
+func (c *CubicDiffs) At(x0 uint64) (d0, d1, d2, d3 uint64) {
+	x := x0 % MersennePrime61
+	d0 = addmod61(mulmod61(addmod61(mulmod61(addmod61(mulmod61(c.f[3], x), c.f[2]), x), c.f[1]), x), c.f[0])
+	d1 = addmod61(mulmod61(addmod61(mulmod61(c.d1[2], x), c.d1[1]), x), c.d1[0])
+	d2 = addmod61(mulmod61(c.d2[1], x), c.d2[0])
+	return d0, d1, d2, c.d3
+}
+
 // Value returns the polynomial at the stepper's current point.
 func (s PolyStepper) Value() uint64 {
 	if len(s.diffs) == 0 {

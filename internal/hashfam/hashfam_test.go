@@ -248,3 +248,38 @@ func TestPolyStepperMatchesEval(t *testing.T) {
 		}
 	}
 }
+
+// TestCubicDiffsMatchStepper pins CubicDiffs.At to the difference table
+// Stepper builds by Horner evaluation and subtraction, for every k ≤ 4
+// (lower k zero-padded), at start points that include the field's wrap.
+func TestCubicDiffsMatchStepper(t *testing.T) {
+	for k := 0; k <= 8; k++ {
+		for trial := 0; trial < 20; trial++ {
+			seed := make([]uint64, k)
+			for i := range seed {
+				seed[i] = 0x9E3779B97F4A7C15 * uint64(trial*97+k*31+i+1)
+			}
+			if trial == 1 {
+				for i := range seed {
+					seed[i] = MersennePrime61 - 1 // largest residues: every sum wraps
+				}
+			}
+			p := NewPoly(seed)
+			c, ok := p.CubicDiffs()
+			if ok != (k <= 4) {
+				t.Fatalf("k=%d: CubicDiffs ok=%v", k, ok)
+			}
+			if !ok {
+				continue
+			}
+			for _, x0 := range []uint64{0, 1, 63, 64, 1000, 1 << 40, MersennePrime61 - 2, MersennePrime61 + 5} {
+				var want [4]uint64
+				copy(want[:], p.Stepper(x0, nil).Diffs())
+				d0, d1, d2, d3 := c.At(x0)
+				if got := [4]uint64{d0, d1, d2, d3}; got != want {
+					t.Fatalf("k=%d trial=%d x0=%d: At = %v, Stepper = %v", k, trial, x0, got, want)
+				}
+			}
+		}
+	}
+}

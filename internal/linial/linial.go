@@ -59,14 +59,27 @@ func ColorPar(r *par.Runner, g *graph.Graph) Result {
 	return Result{Colors: colors, NumColors: numColors, Rounds: rounds}
 }
 
+// AtFixedPoint is the k=1 no-progress test of a reduction round: with
+// q = nextPrime(Δ+1), the degree-1 set system maps colors into q² points,
+// so q² ≥ numColors means a round cannot shrink the palette and stops.
+// ColorPar starting from n colors then returns the identity coloring. The
+// test is monotone in delta, so it holds for any graph whose maximum
+// degree is at least delta — which lets a caller certify the fixed point
+// from a lower bound on Δ without building the graph.
+func AtFixedPoint(delta, numColors int) bool {
+	q := nextPrime(delta + 1)
+	return q*q >= numColors
+}
+
 // reduceOnce performs one Linial reduction round; ok is false when no
 // further reduction is possible (q² ≥ current color count).
 func reduceOnce(r *par.Runner, g *graph.Graph, colors []int32, numColors, delta int) (next []int32, nextCount int, ok bool) {
-	if numColors <= 1 {
+	if AtFixedPoint(delta, numColors) {
 		return nil, 0, false
 	}
-	// Choose degree k and field size q: smallest k ≥ 1 admitting progress.
-	for k := 1; k <= 8; k++ {
+	// k=1 cannot encode every color (q² < numColors): choose the smallest
+	// degree k ≥ 2 and field size q admitting progress.
+	for k := 2; k <= 8; k++ {
 		q := nextPrime(k*delta + 1)
 		// Need q^{k+1} ≥ numColors so every color is encodable, and
 		// q² < numColors for progress.

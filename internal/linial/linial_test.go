@@ -154,6 +154,38 @@ func TestPrimeHelpers(t *testing.T) {
 	}
 }
 
+// TestAtFixedPoint pins the helper to ColorPar: where it holds for a
+// graph's Δ the coloring stays the identity after zero rounds, and it
+// stays true as delta grows (the monotonicity callers certify from).
+func TestAtFixedPoint(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.Cycle(8), graph.Cycle(9), graph.Cycle(80), graph.Cycle(1000),
+		graph.Complete(20), graph.Star(50), graph.Empty(4), graph.Empty(5),
+	} {
+		n, delta := g.N(), g.MaxDegree()
+		res := Color(g)
+		if AtFixedPoint(delta, n) {
+			if res.Rounds != 0 {
+				t.Fatalf("n=%d Δ=%d: fixed point but %d rounds", n, delta, res.Rounds)
+			}
+			for v, c := range res.Colors {
+				if int(c) != v {
+					t.Fatalf("n=%d Δ=%d: fixed point but color[%d]=%d", n, delta, v, c)
+				}
+			}
+		} else if res.Rounds == 0 {
+			t.Fatalf("n=%d Δ=%d: no fixed point but no round ran", n, delta)
+		}
+	}
+	for n := 0; n < 300; n++ {
+		for delta := 0; delta < 40; delta++ {
+			if AtFixedPoint(delta, n) && !AtFixedPoint(delta+1, n) {
+				t.Fatalf("AtFixedPoint not monotone at Δ=%d, n=%d", delta, n)
+			}
+		}
+	}
+}
+
 func BenchmarkColor(b *testing.B) {
 	g := graph.RandomRegular(3000, 8, 1)
 	b.ResetTimer()

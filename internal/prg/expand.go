@@ -26,7 +26,11 @@ type Expander struct {
 	p     PRG
 	buf   []uint64
 	poly  hashfam.Poly
-	diffs []uint64 // PolyStepper difference table, reused across runs
+	cubic hashfam.CubicDiffs // poly's difference polynomials when cubicOK
+	// cubicOK reports poly.K() ≤ 4, where stepKWise seeds each run from
+	// cubic instead of a PolyStepper.
+	cubicOK bool
+	diffs   []uint64 // PolyStepper difference table, reused across runs
 }
 
 // NewExpander prepares an allocation-free expander for p.
@@ -125,7 +129,8 @@ func (e *Expander) expandKWiseChunks(p *KWise, seed uint64, dst []uint64, chunks
 }
 
 // seedPoly draws the seed's polynomial coefficients into the reused
-// Poly, exactly as KWise.Expand derives them.
+// Poly, exactly as KWise.Expand derives them, and for k ≤ 4 derives the
+// polynomial's difference polynomials once for every chunk of the seed.
 func (e *Expander) seedPoly(p *KWise, seed uint64) {
 	raw := e.grow(p.k)
 	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
@@ -133,6 +138,7 @@ func (e *Expander) seedPoly(p *KWise, seed uint64) {
 		raw[i] = s.Uint64()
 	}
 	e.poly.SetCoef(raw)
+	e.cubic, e.cubicOK = e.poly.CubicDiffs()
 }
 
 // stepKWise writes KWise output bits [lo, hi) of the seeded polynomial
@@ -143,17 +149,16 @@ func (e *Expander) seedPoly(p *KWise, seed uint64) {
 // dst once per destination word.
 //
 // For k ≤ 4 — production's constant k=4 — the difference table lives in
-// four locals: a lower-degree polynomial's table is padded with zero
-// differences, and adding a zero difference leaves a canonical residue
-// unchanged, so one loop computes every such k bit-identically. Larger k
-// steps the table slice through PolyStepper.Advance.
+// four locals, seeded at the run's first point from the per-seed
+// difference polynomials seedPoly derived (six modular multiplications
+// per run instead of a PolyStepper's k Horner evaluations). A
+// lower-degree polynomial's table is padded with zero differences, and
+// adding a zero difference leaves a canonical residue unchanged, so one
+// loop computes every such k bit-identically. Larger k steps the table
+// slice through PolyStepper.Advance.
 func (e *Expander) stepKWise(dst []uint64, lo, hi int) {
-	st := e.poly.Stepper(uint64(lo)+1, e.diffs)
-	e.diffs = st.Diffs()
-	if len(e.diffs) <= 4 {
-		var d [4]uint64 // zero-padded for k < 4
-		copy(d[:], e.diffs)
-		d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+	if e.cubicOK {
+		d0, d1, d2, d3 := e.cubic.At(uint64(lo) + 1)
 		for start := lo; start < hi; {
 			end := min((start|63)+1, hi)
 			var w uint64
@@ -166,6 +171,8 @@ func (e *Expander) stepKWise(dst []uint64, lo, hi int) {
 		}
 		return
 	}
+	st := e.poly.Stepper(uint64(lo)+1, e.diffs)
+	e.diffs = st.Diffs()
 	for start := lo; start < hi; {
 		end := min((start|63)+1, hi)
 		var w uint64
