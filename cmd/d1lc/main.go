@@ -43,7 +43,6 @@ func main() {
 		seedBits  = flag.Int("seedbits", 0, "PRG seed bits for derandomization (0 = auto)")
 		nisan     = flag.Bool("nisan", false, "use the Nisan-style PRG")
 		bitwise   = flag.Bool("bitwise", false, "bit-by-bit conditional expectations")
-		naive     = flag.Bool("naivescore", false, "force naive per-seed scoring (ablation; results identical)")
 		palette   = flag.String("palette", "trivial", "trivial|delta1|random")
 		extra     = flag.Int("extra", 2, "extra palette slack for -palette random")
 		printCols = flag.Bool("print", false, "print the coloring")
@@ -109,7 +108,6 @@ func main() {
 		parcolor.WithSeedBits(*seedBits),
 		parcolor.WithNisan(*nisan),
 		parcolor.WithBitwise(*bitwise),
-		parcolor.WithNaiveScoring(*naive),
 		parcolor.WithDegreeShard(*dsshard),
 		parcolor.WithWorkers(*workers),
 	}

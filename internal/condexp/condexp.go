@@ -1,6 +1,6 @@
 // Package condexp implements the method of conditional expectations used
-// by Lemma 10 (PRG seed selection) and Section 6 (hash selection for
-// LowSpacePartition).
+// by Lemma 10: PRG seed selection for every derandomized step, Luby round
+// and trial round in the repository.
 //
 // Every entry point operates on an integer-valued objective ("score": e.g.
 // the number of nodes failing the strong success property under a given
@@ -8,82 +8,88 @@
 // at most the mean over the space — the exact guarantee the paper's
 // Lemma 10 derives from E[failures] ≤ nG/2 + nG·Δ^{−11τ}.
 //
-// Two scoring architectures coexist:
+// Three layers, top to bottom:
 //
-//   - The naive Scorer path (SelectSeed, SelectSeedBitwise) re-invokes an
-//     opaque score(seed) callback for every evaluation. It is simple,
-//     assumes nothing about the objective, and serves as the oracle the
-//     optimized path is differentially tested against. SelectSeed
-//     enumerates all seeds once; SelectSeedBitwise fixes the seed one bit
-//     at a time by comparing exact conditional branch means, re-evaluating
-//     surviving seeds at every level (~2^(d+1) scorer calls in total).
+//   - Select (engine.go) is the one seed-selection engine. A problem
+//     supplies three hooks — Fill scores one seed into its table row on
+//     pooled per-worker scratch, Keep clones the seed's winner while it
+//     holds the best-seen slot, Redo re-derives a winner Keep never saw —
+//     and Select owns the rest: chunk sizing (ScoreChunks/ChunkBounds),
+//     the table build on the caller's par.Runner, flat or bitwise
+//     selection, releasing the table to the problem's Cache, and handing
+//     back the chosen seed's winner.
 //
-//   - The contribution-table path (BuildTable, ContribTable.SelectSeed,
-//     ContribTable.SelectSeedBitwise) mirrors the paper's distributed
-//     implementation: the objective decomposes as score(seed) = Σ_c
-//     contrib(c, seed) over machine-local chunks, each (seed, chunk)
-//     contribution is computed exactly once into a flat seed-major
-//     [numSeeds × numChunks] table by one parallel pass over the seed
-//     space, the per-seed totals are aggregated by a converge-cast that
+//   - The contribution table (table.go: BuildTable, ContribTable) mirrors
+//     the paper's distributed implementation: the objective decomposes as
+//     score(seed) = Σ_c contrib(c, seed) over machine-local chunks, each
+//     (seed, chunk) contribution is computed exactly once into a flat
+//     seed-major [numSeeds × numChunks] table by one parallel pass over
+//     the seed space, per-seed totals come from a converge-cast that
 //     reduces each seed's contiguous row, and both selection strategies
 //     become pure table aggregation — the bitwise method's branch means
 //     are subset sums of totals the build already paid for.
+//
+//   - The Scorer path (SelectSeed, SelectSeedBitwise, this file)
+//     re-invokes an opaque score(seed) callback for every evaluation. It
+//     assumes nothing about the objective and is the reference the table
+//     and every problem's engine are differentially tested against:
+//     SelectSeed enumerates all seeds once; SelectSeedBitwise fixes the
+//     seed one bit at a time by comparing exact conditional branch means,
+//     re-evaluating surviving seeds at every level (~2^(d+1) scorer calls
+//     in total).
 //
 // Layout invariants of the seed-major table:
 //
 //   - Contrib[s*NumChunks+c] is chunk c's contribution to seed s: one
 //     seed's row is one contiguous unit-stride block of the grid.
 //   - Build hands each fill ITS OWN in-place row (a capacity-capped slice
-//     of Contrib), so engines write their popcounts straight into final
-//     cells: no per-worker staging row, no stride-NumSeeds scatter. A
-//     ChunkFiller must write every cell of the row it is handed — pooled
-//     grids are not zeroed between builds.
+//     of Contrib), so fills write their popcounts straight into final
+//     cells: no per-worker staging row, no stride-NumSeeds scatter. A fill
+//     must write every cell of the row it is handed — pooled grids are
+//     not zeroed between builds.
 //   - Totals[s] = kernel.Sum(row s), a blocked unit-stride reduce; exact
 //     int64 addition makes every association order — the blocking, a
 //     sequential scan, or the MPC aggregation tree — bit-identical, so
 //     the table stays interchangeable with the MPC-faithful oracle.
 //   - BuildChunkMajorOracle retains the retired chunk-major layout purely
-//     as the differential-test reference; the suites pin every engine's
+//     as the differential-test reference; the suites pin every problem's
 //     table to it cell-for-transposed-cell.
 //
 // Both paths return bit-identical Results (seed, score, sum, certificate)
 // on the same objective; they differ only in Evals, the scorer-invocation
 // count. Tests check the agreement and the guarantee for both.
 //
-// Who uses the table engine — every seed selection in the repository runs
-// through ContribTable, each with its naive-Scorer oracle kept for
-// differential tests. All of them keep their per-seed participant state
-// in internal/bitset masks (win/loser/join sets packed 64 participants
-// per word), read chunk contributions off as popcounts over index ranges
-// written directly into their in-place seed rows, and bottom out in
-// internal/kernel's unit-stride loops (Sum for row totals, Add for tree
-// combines, Transpose for the MPC root's assembly, MaskNeq32 under the
-// bitset compaction):
+// Who uses the engine. The three shared-memory problems run through
+// Select, keep their per-seed participant state in internal/bitset masks
+// (win/loser/join sets packed 64 participants per word), read chunk
+// contributions off as popcounts over index ranges written directly into
+// their in-place seed rows, and bottom out in internal/kernel's
+// unit-stride loops (Sum for row totals, Add for tree combines, Transpose
+// for the MPC root's assembly, MaskNeq32 under the bitset compaction).
+// Each package's tests pin it to a naive per-seed oracle built on
+// SelectSeed/SelectSeedBitwise:
 //
-//   - deframe.stepEngine: Lemma 10 over the HKNT schedule steps; win
-//     steps gather the proposal's win mask into dense participant space
-//     and popcount each chunk, SSP steps count failures per participant,
-//     both with pooled per-worker PRG scratch re-expanding only the live
-//     chunks (Options.NaiveScoring is the oracle).
-//   - mis.Derandomized: Luby rounds; the join set is a node mask, each
-//     seed's still-undecided outcomes gather into a dense mask, chunk
-//     counts are popcounts, with chunk-sparse PRG re-expansion of only
-//     the live nodes (mis.Options.NaiveScoring).
-//   - lowdeg.IterativeDerandomized: trial rounds; collision losers are a
-//     dense mask, wins = seed-invariant candidate counts − loser
-//     popcounts, the best seed's winners materialize by one and-not
-//     (lowdeg.Options.NaiveScoring).
-//   - mpc.DistributedSelectSeedRows: the same converge-cast executed as an
-//     MPC protocol — simulated machines fill distributed chunk-rows
-//     (packing a per-seed win bit alongside each score, reused at commit),
-//     the aggregation tree folds row segments with kernel.Add, and the
-//     root keeps its direct children's subtree rows as separate chunks,
-//     assembles the seed-major table by kernel.Transpose, and selects by
-//     ContribTable aggregation (mpc.DistributedSelectSeed is the
-//     scalar-batched oracle).
+//   - deframe: Lemma 10 over the HKNT schedule steps; win steps gather
+//     the proposal's win mask into dense participant space and popcount
+//     each chunk, SSP steps count failures per participant, both
+//     re-expanding only the live PRG chunks.
+//   - mis: Luby rounds; the join set is a node mask, each seed's
+//     still-undecided outcomes gather into a dense mask, with chunk-sparse
+//     PRG re-expansion of only the live nodes.
+//   - lowdeg: trial rounds; winners are candidates &^ collision losers,
+//     kept as (node, color) pairs.
 //
-// ScoreChunks is the shared chunking policy: all shared-memory call sites
-// size their tables participant-proportionally through it.
+// mpc.DistributedSelectSeedRows runs the same converge-cast as an MPC
+// protocol — simulated machines fill distributed chunk-rows (packing a
+// per-seed win bit alongside each score, reused at commit), the
+// aggregation tree folds row segments with kernel.Add, and the root
+// assembles the seed-major table by kernel.Transpose and selects by
+// ContribTable aggregation; mpc.DistributedSelectSeed is the scalar
+// protocol that experiment E16 compares it with. sparsify's hash-seed
+// searches for LowSpacePartition do not use this package: they scan seeds
+// in order and stop at the first with no Lemma 23 violations, and its
+// GF(2) node splits fix their bits by exact conditional expectations
+// inline.
 package condexp
 
 import (

@@ -6,15 +6,15 @@ import (
 	"parcolor/internal/condexp"
 )
 
-// ExampleBestSeen shows the engine-author contract shared by the deframe,
-// mis and lowdeg table engines: while the table build walks the seed
-// space (concurrently, in any order), every fill offers its (seed, score)
-// to the BestSeen slot and materializes its proposal inside keep — the
-// only moment the per-worker scratch's contents are known to be the
-// current minimum. After flat selection the winning seed always Matches,
-// so the cached clone is committed without re-proposing; bitwise
-// selection may pick a different seed, in which case Matches is false and
-// the engine re-proposes once.
+// ExampleBestSeen shows the slot Select keeps each problem's winner in:
+// while the table build walks the seed space (concurrently, in any
+// order), every fill offers its (seed, score) to the BestSeen slot, and
+// the problem's Keep hook clones its winner inside keep — the only moment
+// the per-worker scratch's contents are known to be the current minimum.
+// After flat selection the winning seed always Matches, so the kept clone
+// is returned without re-deriving it; bitwise selection may pick a
+// different seed, in which case Matches is false and Select calls the
+// problem's Redo once.
 func ExampleBestSeen() {
 	scores := map[uint64]int64{0: 5, 1: 3, 2: 3, 3: 9}
 	var best condexp.BestSeen

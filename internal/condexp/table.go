@@ -8,16 +8,16 @@ import (
 	"parcolor/internal/par"
 )
 
-// This file implements the contribution-table scoring path: the
-// paper-faithful realization of Lemma 10's distributed seed selection.
-// Each machine (a contiguous chunk of the participants) evaluates its local
-// contribution to every seed's objective exactly once, written straight
-// into the seed's contiguous row of the seed-major table; a converge-cast
-// reduces each row to the seed's total with one unit-stride scan; and both
+// This file implements the contribution table: the paper-faithful
+// realization of Lemma 10's distributed seed selection. Each machine (a
+// contiguous chunk of the participants) evaluates its local contribution
+// to every seed's objective exactly once, written straight into the
+// seed's contiguous row of the seed-major table; a converge-cast reduces
+// each row to the seed's total with one unit-stride scan; and both
 // selection strategies — full enumeration and the bit-by-bit method of
-// conditional expectations — become pure aggregation over the totals, with
-// zero further scorer invocations. The naive Scorer-driven entry points in
-// condexp.go remain the oracle the table path is differentially tested
+// conditional expectations — become pure aggregation over the totals,
+// with zero further scorer invocations. The Scorer-driven entry points in
+// condexp.go remain the reference the table is differentially tested
 // against, and BuildChunkMajorOracle retains the retired chunk-major
 // layout as the layout-level reference.
 
@@ -37,8 +37,8 @@ const maxScoreChunks = 1024
 // ⌈nParts/scoreChunkLine⌉ clamped to [1, maxScoreChunks]. It is a pure
 // function of the participant count, so the table shape — though never the
 // selected Result, which is invariant under any chunk partition — is
-// independent of GOMAXPROCS. Every table-engine call site (deframe, mis,
-// lowdeg) sizes its tables through this one policy.
+// independent of GOMAXPROCS. Select sizes every problem's table through
+// this one policy.
 func ScoreChunks(nParts int) int {
 	k := (nParts + scoreChunkLine - 1) / scoreChunkLine
 	if k < 1 {
@@ -50,11 +50,9 @@ func ScoreChunks(nParts int) int {
 	return k
 }
 
-// ChunkBounds returns the participant-index partition the table engines
-// score against: bounds[c] = c·nParts/k, so chunk c covers indices
-// [bounds[c], bounds[c+1]) — the same ⌊c·n/k⌋ split the naive oracles'
-// ScoreChunk calls use. Centralizing it keeps every engine's chunk
-// boundaries in lockstep with the ScoreChunks policy.
+// ChunkBounds returns the participant-index partition Select hands each
+// Fill: bounds[c] = c·nParts/k, so chunk c covers indices
+// [bounds[c], bounds[c+1]).
 func ChunkBounds(nParts, k int) []int32 {
 	bounds := make([]int32, k+1)
 	for c := 0; c <= k; c++ {
@@ -62,38 +60,6 @@ func ChunkBounds(nParts, k int) []int32 {
 	}
 	return bounds
 }
-
-// BestSeen tracks the (score, seed)-lexicographic minimum offered during a
-// table build: exactly the seed flat selection returns, because the
-// comparison mirrors SelectSeed/par.ReduceMin's smallest-seed tie-break.
-// The table engines use it to materialize the flat winner's proposal while
-// walking the seed space, so committing it needs no recomputation. Safe
-// for concurrent Offer calls; the ordering makes the winner deterministic
-// under any evaluation order.
-type BestSeen struct {
-	mu    sync.Mutex
-	have  bool
-	seed  uint64
-	score int64
-}
-
-// Offer proposes (seed, score). If it takes the minimum slot, keep runs
-// while the lock pins the slot — the caller materializes the winner there
-// (cloning out of per-worker scratch). keep runs O(log numSeeds) expected
-// times over a random-order walk.
-func (b *BestSeen) Offer(seed uint64, score int64, keep func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.have && (b.score < score || (b.score == score && b.seed < seed)) {
-		return
-	}
-	b.have, b.seed, b.score = true, seed, score
-	keep()
-}
-
-// Matches reports whether seed holds the minimum slot — true for the flat
-// winner by construction; bitwise selection may pick another seed.
-func (b *BestSeen) Matches(seed uint64) bool { return b.have && b.seed == seed }
 
 // ChunkFiller computes one seed's per-chunk contributions: fill(seed, row)
 // must set row[c] for every chunk c. The row is a slice of the table
@@ -181,6 +147,18 @@ func (tc *TableCache) Release(t *ContribTable) {
 // cancellation Build stops filling promptly and returns the context's
 // error with no table.
 func (tc *TableCache) Build(r *par.Runner, numSeeds, numChunks int, fill ChunkFiller) (*ContribTable, error) {
+	return tc.build(r, numSeeds, numChunks, fill)
+}
+
+// rowFiller is the build loop's view of a fill: a ChunkFiller, or Select's
+// walk state, which passes itself without a method-value allocation.
+type rowFiller interface {
+	fillRow(seed uint64, row []int64)
+}
+
+func (f ChunkFiller) fillRow(seed uint64, row []int64) { f(seed, row) }
+
+func (tc *TableCache) build(r *par.Runner, numSeeds, numChunks int, f rowFiller) (*ContribTable, error) {
 	if numSeeds <= 0 {
 		panic("condexp: empty seed space")
 	}
@@ -194,7 +172,7 @@ func (tc *TableCache) Build(r *par.Runner, numSeeds, numChunks int, fill ChunkFi
 		// Inline loop: no goroutine fan-out and no escaping closure, so a
 		// warm single-worker build performs zero allocations.
 		for s := 0; s < numSeeds && r.Err() == nil; s++ {
-			fill(uint64(s), contrib[s*numChunks:(s+1)*numChunks:(s+1)*numChunks])
+			f.fillRow(uint64(s), contrib[s*numChunks:(s+1)*numChunks:(s+1)*numChunks])
 		}
 	} else {
 		r.ForChunked(numSeeds, func(lo, hi int) {
@@ -204,7 +182,7 @@ func (tc *TableCache) Build(r *par.Runner, numSeeds, numChunks int, fill ChunkFi
 				}
 				// The seed's in-place row, capacity-capped so a misbehaving
 				// filler cannot scribble into the next seed's cells.
-				fill(uint64(s), contrib[s*numChunks:(s+1)*numChunks:(s+1)*numChunks])
+				f.fillRow(uint64(s), contrib[s*numChunks:(s+1)*numChunks:(s+1)*numChunks])
 			}
 		})
 	}

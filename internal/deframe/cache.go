@@ -1,33 +1,24 @@
 package deframe
 
 import (
-	"fmt"
 	"sync"
 
-	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
 	"parcolor/internal/par"
-	"parcolor/internal/prg"
 )
 
 // Cache holds the derandomizer's reusable allocations across steps — and,
-// when owned by a long-lived Solver, across whole solves: contribution
-// tables (the [seeds × chunks] grids of every Lemma 10 selection) and the
-// per-worker seed-evaluation scratch (reseedable PRG expansion buffers,
-// hknt trial arenas, participant win masks). Everything inside is
-// sync.Pool-backed, so a Cache is safe for concurrent solves and sheds
-// memory under GC pressure.
-//
-// A nil *Cache is valid and means "per-step pooling only": each step
-// builds its own ephemeral pools, the pre-Cache behavior.
+// when owned by a long-lived Solver, across whole solves: the seed
+// engine's contribution tables and per-worker scratch, run states, and
+// self-reduction arenas. Everything inside is sync.Pool-backed, so a
+// Cache is safe for concurrent solves and sheds memory under GC pressure.
 type Cache struct {
-	tables  condexp.TableCache
-	scratch sync.Pool // of *seedScratch
-	states  hknt.StatePool
-	reduce  sync.Pool // of *d1lc.ReduceArena
+	seeds  condexp.Cache[seedScratch]
+	states hknt.StatePool
+	reduce sync.Pool // of *d1lc.ReduceArena
 
 	// chunks memoizes chunkAssignment per (graph identity, radius, edge
 	// budget) — but only for graphs the caller declared reusable
@@ -67,7 +58,7 @@ const maxChunkMemo = 8
 // caller's reusable root) touch the memo. The returned slice is shared
 // and must be treated as read-only — every consumer only indexes it.
 func (c *Cache) getChunks(r *par.Runner, g *graph.Graph, radius, maxEdges int, memoize bool) ([]int32, int, string) {
-	if c == nil || !memoize {
+	if !memoize {
 		return chunkAssignment(r, g, radius, maxEdges)
 	}
 	key := chunkKey{g: g, radius: radius, maxEdges: maxEdges}
@@ -91,92 +82,14 @@ func (c *Cache) getChunks(r *par.Runner, g *graph.Graph, radius, maxEdges int, m
 // sequential or concurrent Runs.
 func NewCache() *Cache { return &Cache{} }
 
-// tableCache returns the condexp table pool (nil for a nil cache:
-// allocate-fresh builds).
-func (c *Cache) tableCache() *condexp.TableCache {
-	if c == nil {
-		return nil
-	}
-	return &c.tables
-}
-
-// getState returns a run state, recycling pooled backing arrays when the
-// cache is live.
-func (c *Cache) getState(in *d1lc.Instance) *hknt.State {
-	if c == nil {
-		return hknt.NewState(in)
-	}
-	return c.states.Get(in)
-}
-
-// putState recycles a run state's backing arrays (the coloring, which the
-// caller returned, is detached). No-op on a nil cache.
-func (c *Cache) putState(st *hknt.State) {
-	if c != nil {
-		c.states.Put(st)
-	}
-}
-
-// getReduceArena checks a self-reduction arena out of the cache (fresh on
-// a nil cache). Each recursion level holds its own arena for the lifetime
-// of its residual instance — checked out before ReduceUncolored, returned
-// only after the recursive solve and the coloring write-back complete, so
-// at most MaxDepth arenas are live at once.
+// getReduceArena checks a self-reduction arena out of the cache. Each
+// recursion level holds its own arena for the lifetime of its residual
+// instance — checked out before ReduceUncolored, returned only after the
+// recursive solve and the coloring write-back complete, so at most
+// MaxDepth arenas are live at once.
 func (c *Cache) getReduceArena() *d1lc.ReduceArena {
-	if c != nil {
-		if a, _ := c.reduce.Get().(*d1lc.ReduceArena); a != nil {
-			return a
-		}
+	if a, _ := c.reduce.Get().(*d1lc.ReduceArena); a != nil {
+		return a
 	}
 	return d1lc.NewReduceArena()
-}
-
-// putReduceArena returns an arena for reuse. No-op on a nil cache.
-func (c *Cache) putReduceArena(a *d1lc.ReduceArena) {
-	if c != nil {
-		c.reduce.Put(a)
-	}
-}
-
-// getScratch checks a seed-evaluation scratch out of the cache and
-// retargets it to the engine's (generator, chunk layout, participant)
-// shape. Retargeting an already-matching scratch — the steady state when
-// one step's fill loop checks the same objects in and out — is a few
-// comparisons.
-func (c *Cache) getScratch(e *stepEngine) *seedScratch {
-	var ss *seedScratch
-	if c != nil {
-		ss, _ = c.scratch.Get().(*seedScratch)
-	}
-	if ss == nil {
-		ss = &seedScratch{sc: hknt.NewScratch()}
-	}
-	if ss.src == nil {
-		src, err := prg.NewChunkedScratch(e.gen, e.chunkOf, e.numChunks, e.step.Bits)
-		if err != nil {
-			// Generator too short is a construction bug; make it loud.
-			panic(fmt.Sprintf("deframe: %v", err))
-		}
-		ss.src = src
-	} else if err := ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, e.step.Bits); err != nil {
-		panic(fmt.Sprintf("deframe: %v", err))
-	}
-	ss.partsWin = ss.partsWin.Grow(len(e.parts))
-	return ss
-}
-
-// putScratch returns a scratch for reuse. No-op on a nil cache (the
-// object is garbage-collected as before pooling).
-func (c *Cache) putScratch(ss *seedScratch) {
-	if c != nil {
-		c.scratch.Put(ss)
-	}
-}
-
-// seedScratch is one worker's reusable evaluation state. partsWin is the
-// dense participant-index win mask the popcount scoring path gathers into.
-type seedScratch struct {
-	src      *prg.ChunkedScratch
-	sc       *hknt.Scratch
-	partsWin bitset.Mask
 }

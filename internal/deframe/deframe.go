@@ -13,20 +13,19 @@
 //     or identity chunking when the power graph exceeds the space budget),
 //     select the seed by the method of conditional expectations over the
 //     measured failure count, commit the winning proposal, and defer the
-//     SSP failures. Seed selection runs on the incremental scoring engine
-//     (engine.go): the participants are partitioned into machine-local
-//     chunks, one parallel pass over the seed space fills a
-//     [chunks × seeds] contribution table with pooled per-worker scratch
-//     (PRG re-expansion of only the step's live chunks, reusable
-//     proposals whose win sets are internal/bitset masks so win-counting
-//     chunks are popcounts), a parallel
-//     converge-cast aggregates per-seed totals, and both flat and bitwise
-//     selection reduce to table aggregation — the paper's "each machine
-//     scores its nodes for every seed, then converge-cast" structure. The
-//     winning proposal is cached during the walk, never recomputed. The
-//     naive per-seed rescoring path is kept (Options.NaiveScoring) as the
-//     oracle: both paths are bit-identical in chosen seed, score and
-//     certificate, and differential tests enforce it.
+//     SSP failures. Seed selection runs on condexp.Select, the seed engine
+//     shared with mis and lowdeg: the participants are partitioned into
+//     machine-local chunks, one parallel pass over the seed space fills a
+//     [seeds × chunks] contribution table with pooled per-worker scratch
+//     (engine.go: PRG re-expansion of only the step's live chunks,
+//     reusable proposals whose win sets are internal/bitset masks so
+//     win-counting chunks are popcounts), a parallel converge-cast
+//     aggregates per-seed totals, and both flat and bitwise selection
+//     reduce to table aggregation — the paper's "each machine scores its
+//     nodes for every seed, then converge-cast" structure. The winning
+//     proposal is kept during the walk, never recomputed. The package's
+//     tests pin every step's seed, score and certificate to a naive
+//     per-seed rescoring oracle.
 //
 //   - Theorem 12 is Run: derandomize the schedule step by step, then
 //     recurse on the deferred set through D1LC self-reducibility
@@ -38,7 +37,6 @@ package deframe
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"parcolor/internal/condexp"
@@ -74,15 +72,10 @@ type Options struct {
 	SeedBits int
 	// Bitwise switches seed selection from parallel full enumeration to
 	// the bit-by-bit method of conditional expectations (same guarantee,
-	// structured as the classical method; on the table-scoring path the
-	// branch means are subset sums of precomputed totals, so it costs the
-	// same 2^SeedBits evaluations as flat selection instead of ~2×).
+	// structured as the classical method; the branch means are subset sums
+	// of precomputed totals, so it costs the same 2^SeedBits evaluations as
+	// flat selection instead of ~2×).
 	Bitwise bool
-	// NaiveScoring forces the monolithic per-seed rescoring path instead
-	// of the incremental contribution-table engine. Both produce identical
-	// results (seed, score, certificate, coloring); the naive path is the
-	// oracle for differential tests and ablation baselines.
-	NaiveScoring bool
 	// ChunkRadius is the power-graph radius for chunk assignment
 	// (Lemma 10 uses 4τ; default 4·max τ of the schedule).
 	ChunkRadius int
@@ -111,8 +104,9 @@ type Options struct {
 	// Trace observes phase enter/exit events (one phase per derandomized
 	// step, plus the greedy base case). nil disables tracing.
 	Trace trace.Tracer
-	// Cache pools contribution tables and per-worker seed-evaluation
-	// scratch across steps and runs. nil means per-step pooling only.
+	// Cache pools contribution tables, per-worker seed-evaluation scratch,
+	// run states and reduction arenas across steps and runs. nil means
+	// pooling within one Run (or one DerandomizeStep call).
 	Cache *Cache
 	// MemoGraph, when non-nil, marks the caller's reusable root graph:
 	// chunk assignments are memoized in the Cache only for this graph, so
@@ -120,6 +114,10 @@ type Options struct {
 	// construction while per-solve throwaway graphs (sparsify bins,
 	// recursion residuals) never churn or pin the memo.
 	MemoGraph *graph.Graph
+
+	// selectSeed replaces selectStep when non-nil: the seam the package's
+	// tests route the naive per-seed oracle through.
+	selectSeed func(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, int64, error)
 }
 
 func (o Options) withDefaults(delta int) Options {
@@ -156,10 +154,9 @@ type StepReport struct {
 	MeanUpper    int64 // certificate: Score ≤ MeanUpper
 	Evals        int   // scorer invocations spent selecting the seed
 	// ExpandedBits counts the chunk bits expanded while scoring the seed
-	// space: seeds × live chunks × Bits on the table path (the chunks of
-	// the nodes Propose reads), evaluations × Chunks × Bits on the naive
-	// path, which materializes every chunk per evaluation. Deterministic,
-	// so it records the expansion saving on any host.
+	// space: seeds × live chunks × Bits (the chunks of the nodes Propose
+	// reads). Deterministic, so it records the expansion saving on any
+	// host.
 	ExpandedBits int64
 	Chunks       int
 	PRGName      string
@@ -256,35 +253,26 @@ func buildPRG(o Options, numChunks, bitsPer int) prg.PRG {
 }
 
 // DerandomizeStep applies Lemma 10 to one normal procedure: score every
-// PRG seed by the step's objective (default: the number of SSP failures),
-// commit the best seed's proposal, and defer the failures. It returns the
-// per-step report.
-//
-// Seed scoring runs on the incremental contribution-table engine
-// (engine.go) whenever the objective decomposes over participants; the
-// monolithic per-seed path is used for custom Score objectives or when
-// Options.NaiveScoring forces it. Both are bit-identical in everything but
-// cost, which Evals reports.
+// PRG seed by the step's objective (the number of SSP failures, or −wins
+// when the step has no SSP), commit the best seed's proposal, and defer
+// the failures. It returns the per-step report.
 func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks int, o Options) (StepReport, error) {
 	parts := step.Participants(st)
 	rep := StepReport{Name: step.Name, Participants: len(parts), SeedSpace: 1 << o.SeedBits, Chunks: numChunks}
 	if len(parts) == 0 {
 		return rep, nil
 	}
+	if o.Cache == nil {
+		o.Cache = NewCache()
+	}
 	sp := trace.Begin(o.Trace, "deframe", step.Name, st.Meter.Rounds, len(parts))
 	gen := buildPRG(o, numChunks, step.Bits)
 	rep.PRGName = gen.Name()
-	var res condexp.Result
-	var prop hknt.Proposal
-	var err error
-	if o.NaiveScoring || !step.Decomposable() {
-		res, prop, err = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
-		rep.ExpandedBits = int64(res.Evals) * int64(numChunks*step.Bits)
-	} else {
-		eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks, o.Cache)
-		res, prop, err = eng.selectSeedTable(o)
-		rep.ExpandedBits = int64(res.Evals) * int64(eng.seedBits)
+	sel := selectStep
+	if o.selectSeed != nil {
+		sel = o.selectSeed
 	}
+	res, prop, expanded, err := sel(st, step, parts, gen, chunkOf, numChunks, o)
 	if err != nil {
 		sp.End(0, 0, 0)
 		return rep, err
@@ -293,6 +281,7 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	rep.Score = res.Score
 	rep.MeanUpper = res.MeanUpper()
 	rep.Evals = res.Evals
+	rep.ExpandedBits = expanded
 
 	failures := step.Failures(st, parts, prop)
 	rep.Colored = st.Apply(prop)
@@ -304,37 +293,6 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	}
 	sp.End(rep.Evals, rep.Colored, rep.Deferred)
 	return rep, nil
-}
-
-// derandomizeStepNaive is the monolithic scorer: one full proposal plus
-// full-graph score per evaluated seed, and a final re-proposal of the
-// winner. It is the oracle the engine is differentially tested against. A
-// cancelled runner short-circuits the remaining evaluations (their scores
-// are discarded with the selection) and surfaces the context error.
-func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
-	scorer := func(seed uint64) int64 {
-		if o.Par.Err() != nil {
-			return 0 // discarded: the selection below returns the ctx error
-		}
-		src, err := prg.NewChunkedSource(gen, seed, chunkOf, numChunks, step.Bits)
-		if err != nil {
-			// Generator too short is a construction bug; make it loud.
-			panic(fmt.Sprintf("deframe: %v", err))
-		}
-		prop := step.Propose(st, parts, src, nil)
-		return step.DefaultScore(st, parts, prop)
-	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
-	} else {
-		res = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
-	}
-	if err := o.Par.Err(); err != nil {
-		return condexp.Result{}, hknt.Proposal{}, err
-	}
-	src, _ := prg.NewChunkedSource(gen, res.Seed, chunkOf, numChunks, step.Bits)
-	return res, step.Propose(st, parts, src, nil), nil
 }
 
 // Run executes Theorem 12 for a D1LC instance: build the HKNT schedule,
@@ -351,13 +309,16 @@ func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen pr
 func Run(ctx context.Context, in *d1lc.Instance, o Options) (*d1lc.Coloring, *Report, error) {
 	o = o.withDefaults(in.G.MaxDegree())
 	o.Par = o.Par.WithContext(ctx)
+	if o.Cache == nil {
+		o.Cache = NewCache()
+	}
 	return run(in, o, o.MaxDepth)
 }
 
 func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, error) {
 	rep := &Report{Depth: depth}
-	st := o.Cache.getState(in)
-	defer o.Cache.putState(st) // runs after the returned st.Col is captured
+	st := o.Cache.states.Get(in)
+	defer o.Cache.states.Put(st) // runs after the returned st.Col is captured
 	st.Par = o.Par
 	n := in.G.N()
 	if n == 0 {
@@ -415,7 +376,7 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	ar := o.Cache.getReduceArena()
 	residual, origOf := ar.ReduceUncolored(o.Par, in, st.Col)
 	if residual.N() == 0 {
-		o.Cache.putReduceArena(ar)
+		o.Cache.reduce.Put(ar)
 		return st.Col, rep, nil
 	}
 	if residual.N() == n {
@@ -425,12 +386,12 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	}
 	subCol, subRep, err := run(residual, o, depth-1)
 	if err != nil {
-		o.Cache.putReduceArena(ar)
+		o.Cache.reduce.Put(ar)
 		return nil, rep, err
 	}
 	rep.Recursed = subRep
 	d1lc.Apply(st.Col, subCol, origOf)
-	o.Cache.putReduceArena(ar)
+	o.Cache.reduce.Put(ar)
 	return st.Col, rep, nil
 }
 

@@ -1,6 +1,7 @@
 package deframe
 
 import (
+	"context"
 	"testing"
 
 	"parcolor/internal/condexp"
@@ -20,7 +21,7 @@ func benchSelection(b *testing.B, n int, bitwise, naive bool) {
 	in := d1lc.TrivialPalettes(graph.Gnp(n, 12.0/float64(n), 1))
 	st := hknt.NewState(in)
 	build := hknt.BuildColorMiddle(st, hknt.Tunables{LowDeg: 4})
-	o := Options{SeedBits: 5, Bitwise: bitwise, NaiveScoring: naive}.withDefaults(in.G.MaxDegree())
+	o := Options{SeedBits: 5, Bitwise: bitwise}.withDefaults(in.G.MaxDegree())
 	chunkOf, numChunks, _ := chunkAssignment(nil, in.G, o.ChunkRadius, o.MaxChunkGraphEdges)
 	var step *hknt.Step
 	var parts []int32
@@ -40,10 +41,10 @@ func benchSelection(b *testing.B, n int, bitwise, naive bool) {
 	for i := 0; i < b.N; i++ {
 		var res condexp.Result
 		if naive {
-			res, _, _ = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
+			res, _, _, _ = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
 		} else {
-			eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks, nil)
-			res, _, _ = eng.selectSeedTable(o)
+			eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
+			res, _, _ = condexp.Select(o.Par, nil, eng, len(parts), o.SeedBits, o.Bitwise)
 		}
 		if res.NumSeeds != 1<<o.SeedBits {
 			b.Fatal("bad selection")
@@ -65,6 +66,42 @@ func BenchmarkSeedSelectionLarge(b *testing.B) {
 	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 3000, false, true) })
 	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 3000, false, false) })
 	b.Run("table/bitwise", func(b *testing.B) { benchSelection(b, 3000, true, false) })
+}
+
+// BenchmarkSolveDeframe ablates the Lemma 10 scoring engine end-to-end on
+// a full derandomized run (every schedule step goes through seed
+// selection): the contribution-table engine against the naive monolithic
+// per-seed rescoring oracle, for both seed-selection strategies. Results
+// are identical across the axis; only cost differs.
+func BenchmarkSolveDeframe(b *testing.B) {
+	g, err := graph.Named("gnp-sparse", 300, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := d1lc.TrivialPalettes(g)
+	for _, cfg := range []struct {
+		name           string
+		naive, bitwise bool
+	}{
+		{"table/flat", false, false},
+		{"table/bitwise", false, true},
+		{"naive/flat", true, false},
+		{"naive/bitwise", true, true},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			o := Options{SeedBits: 5, Bitwise: cfg.bitwise, Tunables: hknt.Tunables{LowDeg: 4}}
+			if cfg.naive {
+				o = naiveOpts(o)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Run(context.Background(), in, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkChunkedSourceReseed isolates the PRG re-expansion cost: naive

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
@@ -43,8 +44,7 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 					o := smallOpts()
 					o.Bitwise = bitwise
 					o.PRG = prgKind
-					oNaive := o
-					oNaive.NaiveScoring = true
+					oNaive := naiveOpts(o)
 					colT, repT, errT := Run(context.Background(), tc.in, o)
 					colN, repN, errN := Run(context.Background(), tc.in, oNaive)
 					if errT != nil || errN != nil {
@@ -111,8 +111,7 @@ func TestBitwiseEvalReduction(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Gnp(120, 0.06, 8))
 	o := smallOpts()
 	o.Bitwise = true
-	oNaive := o
-	oNaive.NaiveScoring = true
+	oNaive := naiveOpts(o)
 	_, repT, err := Run(context.Background(), in, o)
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +140,20 @@ func TestBitwiseEvalReduction(t *testing.T) {
 	}
 }
 
-// TestEngineProposalCacheHitsOnFlat checks the flat path commits the cached
-// proposal: the engine's best-seen clone must equal a fresh re-proposal of
-// the selected seed.
+// countingRedo wraps a step engine to count Redo calls.
+type countingRedo struct {
+	*stepEngine
+	redos int
+}
+
+func (c *countingRedo) Redo(seed uint64) hknt.Proposal {
+	c.redos++
+	return c.stepEngine.Redo(seed)
+}
+
+// TestEngineProposalCacheHitsOnFlat checks the flat path commits the kept
+// proposal: Select must not re-propose, and the kept clone must equal a
+// fresh re-proposal of the selected seed.
 func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Complete(14))
 	st := hknt.NewState(in)
@@ -161,15 +171,15 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 	chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
 	parts := step.Participants(st)
 	gen := buildPRG(o, num, step.Bits)
-	eng := newStepEngine(st, &step, parts, gen, chunkOf, num, nil)
-	res, prop, err := eng.selectSeedTable(o)
+	eng := &countingRedo{stepEngine: newStepEngine(st, &step, parts, gen, chunkOf, num)}
+	res, prop, err := condexp.Select(o.Par, nil, eng, len(parts), o.SeedBits, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.best.Matches(res.Seed) {
-		t.Fatalf("flat winner %d not cached", res.Seed)
+	if eng.redos != 0 {
+		t.Fatalf("flat winner %d re-proposed %d times", res.Seed, eng.redos)
 	}
-	// Compare the cached proposal against an independent re-proposal
+	// Compare the kept proposal against an independent re-proposal
 	// through the naive source.
 	src, err := prg.NewChunkedSource(gen, res.Seed, chunkOf, num, step.Bits)
 	if err != nil {
@@ -178,7 +188,7 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 	want := step.Propose(st, parts, src, nil)
 	for v := range want.Color {
 		if prop.Color[v] != want.Color[v] {
-			t.Fatalf("cached proposal differs at node %d", v)
+			t.Fatalf("kept proposal differs at node %d", v)
 		}
 	}
 }

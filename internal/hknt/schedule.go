@@ -9,11 +9,11 @@ import (
 )
 
 // Step is one normal (τ,Δ)-round distributed procedure in the sense of
-// Definition 5, in trial form: Propose is the randomized procedure (pure),
-// SSP the strong success property evaluated against the proposal, and
-// Score the pessimistic estimator minimized by the method of conditional
-// expectations (defaulting to the number of SSP failures, exactly the
-// estimator of Lemma 10).
+// Definition 5, in trial form: Propose is the randomized procedure (pure)
+// and SSP the strong success property evaluated against the proposal. The
+// method of conditional expectations minimizes the number of SSP failures
+// (exactly the estimator of Lemma 10), or −#wins when SSP is nil; see
+// ScoreChunk.
 type Step struct {
 	Name string
 	// Tau is the LOCAL round count of the procedure.
@@ -39,26 +39,14 @@ type Step struct {
 	// SSP reports participant v's strong success property under the
 	// proposal. Nil means trivially true (never defers).
 	SSP func(st *State, parts []int32, prop Proposal, v int32) bool
-	// Score overrides the seed-selection objective; nil selects
-	// #SSP-failures, or −#wins when SSP is also nil.
-	Score func(st *State, parts []int32, prop Proposal) int64
 }
 
-// Decomposable reports whether the objective decomposes over participants
-// (DefaultScore == Σ over any partition of ScoreChunk). A custom Score
-// override is opaque, so only the default objectives decompose; the
-// contribution-table scoring engine requires this.
-func (s *Step) Decomposable() bool { return s.Score == nil }
-
-// ScoreChunk evaluates the default objective restricted to parts[lo:hi] —
-// one machine's local contribution in Lemma 10's converge-cast. Summing
-// ScoreChunk over a partition of the participants reproduces DefaultScore
-// exactly (integer arithmetic, no rounding). Panics on non-decomposable
-// steps.
+// ScoreChunk evaluates the seed-selection objective restricted to
+// parts[lo:hi] — one machine's local contribution in Lemma 10's
+// converge-cast: the number of SSP failures, or −#wins when SSP is nil.
+// Summing ScoreChunk over any partition of the participants gives the
+// whole objective exactly (integer arithmetic, no rounding).
 func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) int64 {
-	if s.Score != nil {
-		panic("hknt: ScoreChunk on a step with a custom Score objective")
-	}
 	if s.SSP != nil {
 		var fails int64
 		for _, v := range parts[lo:hi] {
@@ -75,18 +63,6 @@ func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) i
 		}
 	}
 	return -wins
-}
-
-// DefaultScore evaluates the seed-selection objective for a step. The
-// default (decomposable) objectives reduce over participant chunks in
-// parallel; a custom Score runs as-is.
-func (s *Step) DefaultScore(st *State, parts []int32, prop Proposal) int64 {
-	if s.Score != nil {
-		return s.Score(st, parts, prop)
-	}
-	return st.Par.ReduceChunked(len(parts), func(lo, hi int) int64 {
-		return s.ScoreChunk(st, parts, prop, lo, hi)
-	})
 }
 
 // Failures lists participants whose SSP fails under the proposal.

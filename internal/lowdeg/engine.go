@@ -2,49 +2,33 @@ package lowdeg
 
 import (
 	"parcolor/internal/bitset"
-	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/hknt"
-	"parcolor/internal/kernel"
 	"parcolor/internal/rng"
 )
 
-// This file is the contribution-table seed-selection engine for the
-// iterative trial rounds: the lowdeg instantiation of the condexp table
-// path. Where the naive oracle re-proposes per seed with fresh n-sized
-// candidate and proposal arrays (and re-proposes the winner after
-// selection), the engine
+// This file is the trial round's problem for condexp.Select, the seed
+// engine shared with deframe and mis. The engine
 //
 //   - compacts the round into dense participant-index space once — the
 //     live-live edge list, remaining palettes, palette-size reciprocals
-//     and score chunk boundaries all flattened over the participants — so
+//     and the candidate mask all flattened over the participants — so
 //     every per-seed structure scales with the shrinking live set instead
 //     of n,
-//   - walks the seed space once, reusing per-worker candidate buffers
-//     pooled across seeds (the hknt.Scratch arena pattern) with the
+//   - fills each seed on pooled per-worker candidate buffers with the
 //     per-seed loser state packed into a word-wide bitset.Mask — the
-//     elimination pass sets loser bits, each chunk's wins are the
-//     seed-invariant candidate count minus a popcount over the chunk's
-//     index range (64 participants per word), and the per-seed reset is
-//     a word clear instead of a byte-per-participant sweep,
-//   - records each participant chunk's −wins contribution straight into
-//     the seed's contiguous row of the seed-major condexp.ContribTable,
-//     making flat and bitwise selection pure table aggregation, and
-//   - caches the best-scoring seed's winner set during the walk (pairs
-//     materialized by an and-not of the candidate mask against the loser
-//     mask, only when a seed takes the best-seen slot), so the flat
-//     winner's proposal is committed without recomputation.
-//
-// The naive path remains available via Options.NaiveScoring as the oracle
-// for differential tests; both paths are bit-identical in selected seed,
-// score, certificate, and final coloring.
+//     elimination pass sets loser bits, winners = candidates &^ losers by
+//     one word-wide and-not, and each chunk's −wins is a popcount over the
+//     chunk's index range (64 participants per word), and
+//   - keeps the best-seen seed's winners as (node, color) pairs, so the
+//     flat winner's proposal is committed without recomputation and a
+//     zero-progress round never materializes one.
 
-// trialEngine scores one trial round's seed space incrementally.
+// trialEngine is one trial round's seed-selection problem.
 type trialEngine struct {
-	st      *hknt.State
-	parts   []int32
-	round   uint64
-	nChunks int // score chunks (table rows)
+	st    *hknt.State
+	parts []int32
+	round uint64
 
 	// edges lists the round's live-live edges once each, as flat pairs of
 	// participant indices. Only live nodes can hold a candidate — a
@@ -63,39 +47,24 @@ type trialEngine struct {
 	// size, so the per-(seed, participant) candidate reduction needs no
 	// hardware division.
 	divs []rng.Divisor
-	// bounds[c] is the first participant index of score chunk c — the
-	// c*np/k partition computed once instead of per chunk per seed.
-	bounds []int32
-	// candMask marks participants with a non-empty palette, and candCnt[c]
-	// counts them per chunk (a CountRange over the chunk bounds). Every
-	// such participant draws a candidate on every seed — the mask and the
-	// counts are seed-invariant — so a chunk's wins are candCnt[c] minus a
-	// popcount of its loser bits, and the best seed's winner set is one
-	// and-not: candMask &^ losers.
+	// candMask marks participants with a non-empty palette. Every such
+	// participant draws a candidate on every seed, and only candidates can
+	// collide, so a seed's winners are candMask &^ losers.
 	candMask bitset.Mask
-	candCnt  []int64
-
-	// cache supplies pooled scratch and table storage: the run's
-	// (possibly Solver-owned) Cache, or an ephemeral one scoped to this
-	// engine when the run has none.
-	cache *Cache
-
-	best condexp.BestSeen
-	// bestWins holds the winner proposal of the best seed as (node, color)
-	// pairs: materialized only when a seed takes the best-seen slot, so
-	// per-seed fills never write a proposal at all.
-	bestWins []int32
 }
 
-func newTrialEngine(st *hknt.State, parts []int32, round uint64, cache *Cache) *trialEngine {
-	if cache == nil {
-		cache = NewCache() // per-engine pooling, the pre-Cache behavior
-	}
-	e := &trialEngine{
-		st: st, parts: parts, round: round,
-		nChunks: condexp.ScoreChunks(len(parts)),
-		cache:   cache,
-	}
+// trialScratch is one worker's reusable evaluation state: cand[i] is
+// participant i's candidate this seed (rewritten in full by every fill),
+// loser marks candidates eliminated by a neighbor collision (cleared per
+// seed) and winners is candMask &^ loser.
+type trialScratch struct {
+	cand    []int32
+	loser   bitset.Mask
+	winners bitset.Mask
+}
+
+func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
+	e := &trialEngine{st: st, parts: parts, round: round}
 	g := st.In.G
 	np := len(parts)
 	// indexOf inverts parts: participant index of each live node.
@@ -120,32 +89,33 @@ func newTrialEngine(st *hknt.State, parts []int32, round uint64, cache *Cache) *
 			e.divs[i] = rng.NewDivisor(uint64(d))
 		}
 	}
-	e.bounds = condexp.ChunkBounds(np, e.nChunks)
 	e.candMask = bitset.New(np)
 	e.candMask.Fill(np, func(i int) bool { return e.palOff[i] < e.palOff[i+1] })
-	e.candCnt = make([]int64, e.nChunks)
-	for c := 0; c < e.nChunks; c++ {
-		e.candCnt[c] = int64(e.candMask.CountRange(int(e.bounds[c]), int(e.bounds[c+1])))
-	}
 	return e
 }
 
-// fill is the condexp.ChunkFiller: run one trial for the seed with pooled
-// scratch and record each participant chunk's −wins. The candidate draw
-// and conflict resolution match proposeRound exactly — an empty palette
-// yields Uncolored, and only live neighbors can collide — so the per-chunk
-// sums are the naive scorer's −countWins split over the partition.
-func (e *trialEngine) fill(seed uint64, row []int64) {
-	ss := e.cache.getScratch(len(e.parts))
-	cand, parts := ss.cand, e.parts
+// Fill runs one trial for the seed and records each participant chunk's
+// −wins. The candidate draw and conflict resolution match proposeRound
+// exactly — an empty palette yields Uncolored, and only live neighbors can
+// collide — so the row sums to minus the winners of proposeRound(seed).
+func (e *trialEngine) Fill(ss *trialScratch, seed uint64, bounds []int32, row []int64) {
+	np := len(e.parts)
+	if cap(ss.cand) < np {
+		ss.cand = make([]int32, np)
+	} else {
+		ss.cand = ss.cand[:np]
+	}
+	ss.loser = ss.loser.Grow(np)
+	ss.winners = ss.winners.Grow(np)
+	cand := ss.cand
 	// Pass 1: draw candidates into dense participant-index space.
-	for i := range parts {
+	for i, v := range e.parts {
 		plo, phi := e.palOff[i], e.palOff[i+1]
 		if plo == phi {
 			cand[i] = d1lc.Uncolored
 			continue
 		}
-		h := rng.Hash3(seed, uint64(parts[i]), e.round)
+		h := rng.Hash3(seed, uint64(v), e.round)
 		cand[i] = e.palFlat[plo+int32(e.divs[i].Mod(h))]
 	}
 	// Pass 2: symmetric elimination over the live edge list — a collision
@@ -162,63 +132,32 @@ func (e *trialEngine) fill(seed uint64, row []int64) {
 			loser.Set(int(b))
 		}
 	}
-	// Each chunk's −wins: seed-invariant candidate count minus a popcount
-	// of its loser bits, 64 participants per word, written straight into
-	// the seed's in-place table row; the seed's total is the row's
-	// unit-stride reduce.
+	win := ss.winners
+	win.Copy(e.candMask)
+	win.AndNot(loser)
 	for c := range row {
-		row[c] = -(e.candCnt[c] - int64(loser.CountRange(int(e.bounds[c]), int(e.bounds[c+1]))))
+		row[c] = -int64(win.CountRange(int(bounds[c]), int(bounds[c+1])))
 	}
-	e.offerBest(seed, kernel.Sum(row), cand, ss)
-	e.cache.putScratch(ss)
 }
 
-// offerBest offers the seed to the best-seen cache (the flat selection's
-// winner), materializing its winner pairs when it takes the slot: winners
-// = candidates &^ losers by one word-wide and-not, then a set-bit walk
-// collects the (node, color) pairs.
-func (e *trialEngine) offerBest(seed uint64, score int64, cand []int32, ss *trialScratch) {
-	e.best.Offer(seed, score, func() {
-		win := ss.winners
-		win.Copy(e.candMask)
-		win.AndNot(ss.loser)
-		e.bestWins = e.bestWins[:0]
-		win.ForEach(func(i int) {
-			e.bestWins = append(e.bestWins, e.parts[i], cand[i])
-		})
+// Keep collects the seed's winners as (node, color) pairs by a set-bit
+// walk of the winner mask.
+func (e *trialEngine) Keep(ss *trialScratch, dst []int32) []int32 {
+	dst = dst[:0]
+	ss.winners.ForEach(func(i int) {
+		dst = append(dst, e.parts[i], ss.cand[i])
 	})
+	return dst
 }
 
-// proposalFor returns the chosen seed's proposal: rebuilt from the cached
-// winner pairs when the seed matches (always, for flat selection),
-// otherwise one fresh re-proposal (bitwise selection may pick a non-argmin
-// seed).
-func (e *trialEngine) proposalFor(seed uint64) hknt.Proposal {
-	if e.best.Matches(seed) {
-		p := hknt.NewProposal(e.st.In.G.N())
-		for i := 0; i < len(e.bestWins); i += 2 {
-			p.SetWin(e.bestWins[i], e.bestWins[i+1])
+// Redo collects the winner pairs of proposeRound(seed).
+func (e *trialEngine) Redo(seed uint64) []int32 {
+	prop := proposeRound(e.st, e.parts, seed, e.round)
+	var pairs []int32
+	for _, v := range e.parts {
+		if c := prop.Color[v]; c != d1lc.Uncolored {
+			pairs = append(pairs, v, c)
 		}
-		return p
 	}
-	return proposeRound(e.st, e.parts, seed, e.round)
-}
-
-// selectSeedTable runs the table path for one round: build the
-// contribution table in one parallel pass and aggregate (flat or bitwise).
-// The caller fetches the winning proposal via proposalFor only when the
-// round makes progress — zero-progress rounds take the greedy fallback.
-func (e *trialEngine) selectSeedTable(o Options) (condexp.Result, error) {
-	tbl, err := e.cache.tableCache().Build(o.Par, 1<<o.SeedBits, e.nChunks, e.fill)
-	if err != nil {
-		return condexp.Result{}, err
-	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = tbl.SelectSeedBitwise(o.SeedBits)
-	} else {
-		res = tbl.SelectSeed()
-	}
-	e.cache.tableCache().Release(tbl)
-	return res, nil
+	return pairs
 }

@@ -45,24 +45,35 @@ type Options struct {
 	// MaxRounds caps trial rounds before greedy takeover (default 8·log₂n+16).
 	MaxRounds int
 	// Bitwise switches seed selection from flat enumeration to the
-	// bit-by-bit method of conditional expectations (same guarantee; on the
-	// table path the branch means are subset sums of precomputed totals).
+	// bit-by-bit method of conditional expectations (same guarantee; the
+	// branch means are subset sums of precomputed totals).
 	Bitwise bool
-	// NaiveScoring forces the monolithic per-seed rescoring oracle instead
-	// of the incremental contribution-table engine (engine.go). Both
-	// produce identical results (seed, score, certificate, coloring); the
-	// naive path exists for differential tests and ablation baselines.
-	NaiveScoring bool
 	// Par scopes the round's parallel loops and seed walks to an explicit
 	// worker budget; IterativeDerandomized derives a context-carrying copy
 	// from its ctx argument. nil means the process default.
 	Par *par.Runner
 	// Trace observes one phase per trial round. nil disables tracing.
 	Trace trace.Tracer
-	// Cache pools contribution tables and per-worker scratch across rounds
-	// and runs. nil means per-round pooling only.
+	// Cache pools contribution tables, per-worker scratch and run states
+	// across rounds and runs. nil means pooling within one run.
 	Cache *Cache
+
+	// selectSeed replaces selectRound when non-nil: the seam the
+	// package's tests route the naive per-seed oracle through.
+	selectSeed func(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, []int32, error)
 }
+
+// Cache holds the iterative solver's reusable allocations across rounds —
+// and, when owned by a long-lived Solver, across whole runs: the seed
+// engine's contribution tables and per-worker trial scratch, and run
+// states. sync.Pool-backed and safe for concurrent runs.
+type Cache struct {
+	seeds  condexp.Cache[trialScratch]
+	states hknt.StatePool
+}
+
+// NewCache returns an empty cache.
+func NewCache() *Cache { return &Cache{} }
 
 // Stats reports a run.
 type Stats struct {
@@ -72,11 +83,9 @@ type Stats struct {
 }
 
 // IterativeDerandomized colors the instance deterministically by
-// conditional-expectation-selected trial rounds. Seed scoring runs on the
-// incremental contribution-table engine (engine.go) unless
-// Options.NaiveScoring forces the per-seed oracle. Always returns a
-// complete proper coloring (or an error only for invalid instances and
-// cancellation).
+// conditional-expectation-selected trial rounds. Seed scoring runs on
+// condexp.Select (engine.go). Always returns a complete proper coloring
+// (or an error only for invalid instances and cancellation).
 //
 // ctx cancels the run between rounds and inside every seed walk; on
 // cancellation IterativeDerandomized returns ctx's error and no coloring.
@@ -90,8 +99,11 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 		o.MaxRounds = 8*log2(n+2) + 16
 	}
 	o.Par = o.Par.WithContext(ctx)
-	st := o.Cache.getState(in)
-	defer o.Cache.putState(st) // runs after the returned st.Col is captured
+	if o.Cache == nil {
+		o.Cache = NewCache()
+	}
+	st := o.Cache.states.Get(in)
+	defer o.Cache.states.Put(st) // runs after the returned st.Col is captured
 	st.Par = o.Par
 	var stats Stats
 	for r := 0; r < o.MaxRounds; r++ {
@@ -103,15 +115,11 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 			break
 		}
 		sp := trace.Begin(o.Trace, "lowdeg", "trial-round", r, len(parts))
-		var sel condexp.Result
-		var eng *trialEngine
-		var err error
-		if o.NaiveScoring {
-			sel, err = selectSeedNaive(st, parts, uint64(r), o)
-		} else {
-			eng = newTrialEngine(st, parts, uint64(r), o.Cache)
-			sel, err = eng.selectSeedTable(o)
+		selectSeed := selectRound
+		if o.selectSeed != nil {
+			selectSeed = o.selectSeed
 		}
+		sel, wins, err := selectSeed(st, parts, uint64(r), o)
 		if err != nil {
 			sp.End(0, 0, 0)
 			return nil, stats, err
@@ -132,11 +140,9 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 			sp.End(sel.Evals, 1, 0)
 			continue
 		}
-		var prop hknt.Proposal
-		if eng != nil {
-			prop = eng.proposalFor(sel.Seed)
-		} else {
-			prop = proposeRound(st, parts, sel.Seed, uint64(r))
+		prop := hknt.NewProposal(n)
+		for i := 0; i < len(wins); i += 2 {
+			prop.SetWin(wins[i], wins[i+1])
 		}
 		colored := st.Apply(prop)
 		sp.End(sel.Evals, colored, 0)
@@ -147,43 +153,19 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 	return st.Col, stats, nil
 }
 
-// selectSeedNaive is the monolithic oracle: one full proposal plus score
-// per evaluated seed. It is the path the table engine is differentially
-// tested against. A cancelled runner short-circuits the remaining
-// evaluations and surfaces the context error.
-func selectSeedNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, error) {
-	scorer := func(seed uint64) int64 {
-		if o.Par.Err() != nil {
-			return 0 // discarded with the selection
-		}
-		return -int64(countWins(st, parts, seed, round))
-	}
-	var sel condexp.Result
-	if o.Bitwise {
-		sel = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
-	} else {
-		sel = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
-	}
-	if err := o.Par.Err(); err != nil {
-		return condexp.Result{}, err
-	}
-	return sel, nil
+// selectRound is IterativeDerandomized's seed selection: the trial engine
+// on condexp.Select. It returns the chosen seed's winners as (node,
+// color) pairs.
+func selectRound(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, []int32, error) {
+	e := newTrialEngine(st, parts, round)
+	return condexp.Select(o.Par, &o.Cache.seeds, e, len(parts), o.SeedBits, o.Bitwise)
 }
 
-// proposeRound computes the trial proposal for a (seed, round) pair and
-// finishes its win mask, ready to commit.
+// proposeRound computes the trial proposal's colors for a (seed, round)
+// pair: node v's candidate is Rem[v][h(seed, v, round) mod |Rem[v]|];
+// winners are the candidates no neighbor duplicated. The win mask is left
+// empty.
 func proposeRound(st *hknt.State, parts []int32, seed, round uint64) hknt.Proposal {
-	prop := proposeRoundColors(st, parts, seed, round)
-	prop.RecomputeWin(st.Par)
-	return prop
-}
-
-// proposeRoundColors computes the colors array only: node v's candidate
-// is Rem[v][h(seed, v, round) mod |Rem[v]|]; winners are the candidates
-// no neighbor duplicated. The win mask is left empty — the naive scoring
-// oracle counts wins by scanning the sentinels and never commits these
-// proposals, so it skips the mask pass it would pay once per seed.
-func proposeRoundColors(st *hknt.State, parts []int32, seed, round uint64) hknt.Proposal {
 	n := st.In.G.N()
 	cand := make([]int32, n)
 	for i := range cand {
@@ -212,18 +194,6 @@ func proposeRoundColors(st *hknt.State, parts []int32, seed, round uint64) hknt.
 		prop.Color[v] = c
 	})
 	return prop
-}
-
-// countWins scores a seed by the number of nodes its proposal colors.
-func countWins(st *hknt.State, parts []int32, seed, round uint64) int {
-	prop := proposeRoundColors(st, parts, seed, round)
-	wins := 0
-	for _, v := range parts {
-		if prop.Color[v] != d1lc.Uncolored {
-			wins++
-		}
-	}
-	return wins
 }
 
 func firstFree(st *hknt.State, v int32) (int32, error) {

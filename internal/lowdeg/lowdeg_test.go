@@ -135,8 +135,7 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 		for _, bitwise := range []bool{false, true} {
 			for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
 				o := Options{SeedBits: 6, Bitwise: bitwise}
-				oNaive := o
-				oNaive.NaiveScoring = true
+				oNaive := naiveOpts(o)
 				o.Par = par.NewRunner(workers)
 				oNaive.Par = par.NewRunner(workers)
 				colT, statsT, errT := IterativeDerandomized(context.Background(), in, o)
@@ -175,7 +174,7 @@ func TestTableEvalReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsN, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: d, Bitwise: true, NaiveScoring: true})
+	_, statsN, err := IterativeDerandomized(context.Background(), in, naiveOpts(Options{SeedBits: d, Bitwise: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +232,13 @@ func BenchmarkSeedSelectionLowdeg(b *testing.B) {
 		{"table/bitwise", false, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			o := Options{SeedBits: 8, Bitwise: cfg.bitwise}
+			if cfg.naive {
+				o = naiveOpts(o)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: 8, Bitwise: cfg.bitwise, NaiveScoring: cfg.naive}); err != nil {
+				if _, _, err := IterativeDerandomized(context.Background(), in, o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,6 +10,65 @@ import (
 	"parcolor/internal/par"
 )
 
+// selectSeedNaive is the monolithic oracle for the trial engine: one full
+// proposal plus win count per evaluated seed through
+// condexp.SelectSeed/SelectSeedBitwise, and a final re-proposal of the
+// winner. Tests install it through Options.selectSeed (see naiveOpts). A
+// cancelled runner short-circuits the remaining evaluations and surfaces
+// the context error.
+func selectSeedNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, []int32, error) {
+	scorer := func(seed uint64) int64 {
+		if o.Par.Err() != nil {
+			return 0 // discarded with the selection
+		}
+		return -int64(countWins(st, parts, seed, round))
+	}
+	var sel condexp.Result
+	if o.Bitwise {
+		sel = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
+	} else {
+		sel = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
+	}
+	if err := o.Par.Err(); err != nil {
+		return condexp.Result{}, nil, err
+	}
+	prop := proposeRound(st, parts, sel.Seed, round)
+	var wins []int32
+	for _, v := range parts {
+		if c := prop.Color[v]; c != d1lc.Uncolored {
+			wins = append(wins, v, c)
+		}
+	}
+	return sel, wins, nil
+}
+
+// countWins scores a seed by the number of nodes its proposal colors.
+func countWins(st *hknt.State, parts []int32, seed, round uint64) int {
+	prop := proposeRound(st, parts, seed, round)
+	wins := 0
+	for _, v := range parts {
+		if prop.Color[v] != d1lc.Uncolored {
+			wins++
+		}
+	}
+	return wins
+}
+
+// naiveOpts returns o with the naive oracle in place of the engine.
+func naiveOpts(o Options) Options {
+	o.selectSeed = selectSeedNaive
+	return o
+}
+
+// engineFill adapts the trial engine's Fill to a condexp.ChunkFiller over
+// Select's chunk layout, with fresh scratch per seed, so tests can rebuild
+// the engine's table through condexp.BuildTable and BuildChunkMajorOracle.
+func engineFill(e *trialEngine) condexp.ChunkFiller {
+	np := len(e.parts)
+	bounds := condexp.ChunkBounds(np, condexp.ScoreChunks(np))
+	return func(seed uint64, row []int64) { e.Fill(new(trialScratch), seed, bounds, row) }
+}
+
 // TestTrialEngineSeedMajorMatchesChunkMajorOracle pins the trial round
 // engine's seed-major table bit-identical to the retained chunk-major
 // oracle (condexp.BuildChunkMajorOracle over the engine's own fill):
@@ -28,12 +87,12 @@ func TestTrialEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 		if len(parts) == 0 {
 			break
 		}
-		oracleEng := newTrialEngine(st, parts, round, nil)
-		oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
+		k := condexp.ScoreChunks(len(parts))
+		oc, ot := condexp.BuildChunkMajorOracle(numSeeds, k, engineFill(newTrialEngine(st, parts, round)))
 
 		for _, w := range []int{1, 4, 0} {
-			eng := newTrialEngine(st, parts, round, nil)
-			tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
+			fill := engineFill(newTrialEngine(st, parts, round))
+			tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, k, fill)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,14 +103,17 @@ func TestTrialEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 
 		// Advance the state with the selected proposal so later rounds
 		// exercise shrunken live sets and thinner palettes.
-		eng := newTrialEngine(st, parts, round, nil)
-		sel, err := eng.selectSeedTable(Options{SeedBits: seedBits})
+		sel, wins, err := selectRound(st, parts, round, Options{SeedBits: seedBits, Cache: NewCache()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sel.Score == 0 {
 			break
 		}
-		st.Apply(eng.proposalFor(sel.Seed))
+		prop := hknt.NewProposal(in.G.N())
+		for i := 0; i < len(wins); i += 2 {
+			prop.SetWin(wins[i], wins[i+1])
+		}
+		st.Apply(prop)
 	}
 }

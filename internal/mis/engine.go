@@ -6,97 +6,110 @@ import (
 	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/graph"
-	"parcolor/internal/kernel"
 	"parcolor/internal/par"
 	"parcolor/internal/prg"
 	"parcolor/internal/rng"
 )
 
-// This file is the contribution-table seed-selection engine for the
-// derandomized Luby rounds: the mis instantiation of the condexp table
-// path. Where the naive oracle re-runs a monolithic full-graph scorer per
-// seed — expanding the PRG over every node's chunk and allocating fresh
-// priority/join arrays and a ChunkedSource each time — the engine
+// This file is the Luby round's problem for condexp.Select, the seed
+// engine shared with deframe and lowdeg. Per seed, Fill
 //
-//   - walks the seed space once, reusing per-worker scratch (a reseedable
-//     prg.ChunkedScratch plus a priority buffer and word-packed join/
-//     undone masks carved from one arena) pooled across seeds,
-//   - re-expands only the undecided nodes' chunks per seed
-//     (ChunkedScratch.ReseedChunks), so per-seed expansion cost tracks the
-//     shrinking live set instead of n,
-//   - keeps the per-seed join set as a bitset.Mask over nodes (a decided
-//     neighbor's bit is permanently zero, so the dominance scan reads one
-//     bit per neighbor) and gathers each seed's still-undecided outcomes
-//     into a dense participant-index mask, so every chunk's contribution
-//     is a popcount over its index range — 64 participants per word —
-//     written straight into the seed's contiguous row of the seed-major
-//     condexp.ContribTable, making flat and bitwise selection pure table
-//     aggregation, and
-//   - caches the best-scoring join mask seen during the walk, so the flat
-//     winner's join is committed from the mask without being recomputed.
+//   - re-expands only the undecided nodes' chunks into pooled per-worker
+//     scratch (ChunkedScratch.ReseedChunks; chunking is the identity, so
+//     the live chunks are the participants themselves), so per-seed
+//     expansion cost tracks the shrinking live set instead of n,
+//   - keeps the join set as a bitset.Mask over nodes (a decided neighbor's
+//     bit is permanently zero, so the dominance scan reads one bit per
+//     neighbor), and
+//   - gathers each participant's still-undecided outcome into a dense
+//     participant-index mask, so every chunk's contribution is a popcount
+//     over its index range, 64 participants per word.
 //
-// The naive path remains available via Options.NaiveScoring as the oracle
-// for differential tests; both paths are bit-identical in selected seed,
-// score, certificate, and resulting MIS.
+// Keep clones the best-seen join mask, so the flat winner's join is
+// committed without being recomputed.
+
+// Cache pools the derandomized Luby rounds' contribution tables and
+// per-worker evaluation scratch across rounds and, owned by a long-lived
+// Solver, across runs. A nil *Cache pools within one round only.
+type Cache = condexp.Cache[misScratch]
+
+// NewCache returns an empty cache.
+func NewCache() *Cache { return &Cache{} }
 
 // engineIDs issues the unique ids misScratch.owner tags pooled scratch
 // with (a counter, not a pointer, so pooled entries never retain a
 // finished engine).
 var engineIDs atomic.Uint64
 
-// roundEngine scores one Luby round's seed space incrementally.
+// roundEngine is one Luby round's seed-selection problem.
 type roundEngine struct {
-	id         uint64 // unique per engine, never zero
-	g          *graph.Graph
-	state      []NodeState
-	parts      []int32 // undecided nodes, ascending
-	liveChunks []int32 // distinct chunk ids covering parts
-	gen        prg.PRG
-	chunkOf    []int32
-	numChunks  int
-	nChunks    int // score chunks (table rows)
-	// bounds[c] is the first participant index of score chunk c.
-	bounds []int32
-
-	// cache supplies pooled scratch and table storage: the run's
-	// (possibly Solver-owned) Cache, or an ephemeral one scoped to this
-	// engine when the run has none.
-	cache *Cache
-
-	best     condexp.BestSeen
-	bestJoin bitset.Mask
+	id    uint64 // unique per engine, never zero
+	r     *par.Runner
+	g     *graph.Graph
+	state []NodeState
+	parts []int32 // undecided nodes, ascending: also the live chunks
+	gen   prg.PRG
+	// chunkOf is the identity chunking, one PRG chunk per node.
+	chunkOf []int32
 }
 
-func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, cache *Cache) *roundEngine {
-	if cache == nil {
-		cache = NewCache() // per-engine pooling, the pre-Cache behavior
+// misScratch is one worker's reusable evaluation state. prio and the join
+// mask are written for every undecided node on every fill, and read only
+// at undecided nodes (a decided node's join bit stays zero from the
+// owner-change reset), so they need no per-seed reset; undone is fully
+// rewritten by each fill's gather. owner tags the round engine the join
+// invariant currently holds for — by id, not pointer, so a pooled scratch
+// never pins a finished engine (and its graph) in memory.
+type misScratch struct {
+	src    *prg.ChunkedScratch
+	prio   []uint64
+	join   bitset.Mask // over nodes
+	undone bitset.Mask // over dense participant indices
+	owner  uint64
+}
+
+func newRoundEngine(r *par.Runner, g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32) *roundEngine {
+	return &roundEngine{id: engineIDs.Add(1), r: r, g: g, state: state, parts: parts, gen: gen, chunkOf: chunkOf}
+}
+
+// prepare retargets the worker's scratch to this round's shape and — when
+// it last served a different round — clears the join mask, restoring the
+// invariant that a decided node's join bit reads zero without any
+// per-seed reset.
+func (e *roundEngine) prepare(ss *misScratch) {
+	var err error
+	if ss.src == nil {
+		ss.src, err = prg.NewChunkedScratch(e.gen, e.chunkOf, len(e.chunkOf), priorityBits)
+	} else {
+		err = ss.src.Retarget(e.gen, e.chunkOf, len(e.chunkOf), priorityBits)
 	}
-	e := &roundEngine{
-		id: engineIDs.Add(1),
-		g:  g, state: state, parts: parts,
-		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
-		nChunks: condexp.ScoreChunks(len(parts)),
-		cache:   cache,
+	if err != nil {
+		// Generator too short is a construction bug; make it loud.
+		panic(err)
 	}
-	seen := make([]bool, numChunks)
-	e.liveChunks = make([]int32, 0, len(parts))
-	for _, v := range parts {
-		if c := chunkOf[v]; !seen[c] {
-			seen[c] = true
-			e.liveChunks = append(e.liveChunks, c)
+	n, np := len(e.state), len(e.parts)
+	if cap(ss.prio) < n {
+		ss.prio = make([]uint64, n)
+	} else {
+		ss.prio = ss.prio[:n]
+	}
+	grown := bitset.Words(n) > cap(ss.join)
+	ss.join = ss.join.Grow(n)
+	ss.undone = ss.undone.Grow(np)
+	if ss.owner != e.id {
+		if !grown { // a freshly made mask is already zero
+			ss.join.Reset()
 		}
+		ss.owner = e.id
 	}
-	e.bounds = condexp.ChunkBounds(len(parts), e.nChunks)
-	return e
 }
 
-// fill is the condexp.ChunkFiller: simulate one Luby round for the seed
-// with pooled scratch, gather each participant's still-undecided outcome
-// into the dense undone mask, and read off every chunk's contribution as
-// a popcount over its index range.
-func (e *roundEngine) fill(seed uint64, row []int64) {
-	ss := e.cache.getScratch(e)
-	src := ss.src.ReseedChunks(seed, e.liveChunks)
+// Fill simulates one Luby round for the seed, gathers each participant's
+// still-undecided outcome into the dense undone mask, and reads off every
+// chunk's contribution as a popcount over its index range.
+func (e *roundEngine) Fill(ss *misScratch, seed uint64, bounds []int32, row []int64) {
+	e.prepare(ss)
+	src := ss.src.ReseedChunks(seed, e.parts)
 	var cur rng.Bits
 	for _, v := range e.parts {
 		src.BitsForInto(v, &cur)
@@ -112,10 +125,6 @@ func (e *roundEngine) fill(seed uint64, row []int64) {
 		}
 		ss.join.SetTo(int(v), best)
 	}
-	// Gather each participant's still-undecided outcome into the dense
-	// mask, then read chunks off as popcounts straight into the seed's
-	// in-place table row; the seed's total is the row's unit-stride
-	// reduce.
 	undone := ss.undone
 	undone.Gather(len(e.parts), func(i int) uint64 {
 		if stillUndecided(e.g, ss.join, e.parts[i]) {
@@ -124,16 +133,13 @@ func (e *roundEngine) fill(seed uint64, row []int64) {
 		return 0
 	})
 	for c := range row {
-		row[c] = int64(undone.CountRange(int(e.bounds[c]), int(e.bounds[c+1])))
+		row[c] = int64(undone.CountRange(int(bounds[c]), int(bounds[c+1])))
 	}
-	e.offerBest(seed, kernel.Sum(row), ss.join)
-	e.cache.putScratch(ss)
 }
 
 // stillUndecided reports whether undecided node v stays undecided under
-// the join mask: it neither joins nor has a joining neighbor — the
-// complement of simulateDecided's per-node predicate. Decided neighbors'
-// bits are permanently zero, so the scan needs no state check.
+// the join mask: it neither joins nor has a joining neighbor. Decided
+// neighbors' bits are permanently zero, so the scan needs no state check.
 func stillUndecided(g *graph.Graph, join bitset.Mask, v int32) bool {
 	if join.Test(int(v)) {
 		return false
@@ -146,47 +152,18 @@ func stillUndecided(g *graph.Graph, join bitset.Mask, v int32) bool {
 	return true
 }
 
-// offerBest offers the join mask to the best-seen cache (the flat
-// selection's winner), cloning it out of the worker's scratch when it
-// takes the slot.
-func (e *roundEngine) offerBest(seed uint64, score int64, join bitset.Mask) {
-	e.best.Offer(seed, score, func() {
-		e.bestJoin = append(e.bestJoin[:0], join...)
-	})
+// Keep clones the join mask out of the worker's scratch.
+func (e *roundEngine) Keep(ss *misScratch, dst bitset.Mask) bitset.Mask {
+	return append(dst[:0], ss.join...)
 }
 
-// joinFor returns the chosen seed's join mask: the cached clone when the
-// seed matches (always, for flat selection), otherwise one fresh
-// re-simulation (bitwise selection may pick a non-argmin seed).
-func (e *roundEngine) joinFor(r *par.Runner, seed uint64) bitset.Mask {
-	if e.best.Matches(seed) {
-		return e.bestJoin
-	}
-	src, err := prg.NewChunkedSource(e.gen, seed, e.chunkOf, e.numChunks, priorityBits)
+// Redo re-simulates the round for seed from a fresh full expansion.
+func (e *roundEngine) Redo(seed uint64) bitset.Mask {
+	src, err := prg.NewChunkedSource(e.gen, seed, e.chunkOf, len(e.chunkOf), priorityBits)
 	if err != nil {
 		panic(err)
 	}
-	join := bitset.New(e.g.N())
-	join.FromBools(lubyRound(r, e.g, e.state, src.BitsFor))
+	join := bitset.New(len(e.state))
+	join.FromBools(lubyRound(e.r, e.g, e.state, src.BitsFor))
 	return join
-}
-
-// selectSeedTable runs the full table path for one round: build the
-// contribution table in one parallel pass on the round's runner, aggregate
-// (flat or bitwise), and return the selected seed's result plus its join
-// mask. A cancelled runner aborts the build and surfaces the context
-// error.
-func (e *roundEngine) selectSeedTable(o Options) (condexp.Result, bitset.Mask, error) {
-	tbl, err := e.cache.tableCache().Build(o.Par, 1<<o.SeedBits, e.nChunks, e.fill)
-	if err != nil {
-		return condexp.Result{}, nil, err
-	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = tbl.SelectSeedBitwise(o.SeedBits)
-	} else {
-		res = tbl.SelectSeed()
-	}
-	e.cache.tableCache().Release(tbl)
-	return res, e.joinFor(o.Par, res.Seed), nil
 }

@@ -98,9 +98,8 @@ const priorityBits = 32
 
 // priority packs node v's drawn bits (high word) with its id (low word) as
 // the tiebreak — exact for every int32 id, so adjacent equal draws can
-// never produce two local maxima. Both the naive lubyRound and the table
-// engine's fill must use exactly this expression for the two scoring paths
-// to stay bit-identical.
+// never produce two local maxima. Both lubyRound and the round engine's
+// Fill must use exactly this expression for the two to stay bit-identical.
 func priority(v int32, b *rng.Bits) uint64 {
 	return b.Take(priorityBits)<<32 | uint64(uint32(v))
 }
@@ -148,9 +147,9 @@ func applyJoin(g *graph.Graph, state []NodeState, join []bool) int {
 	return applyDominated(g, state, decided)
 }
 
-// applyJoinMask is applyJoin over a word-packed join mask: the commit
-// path of the table engine, reusing the win mask computed during scoring
-// by walking only its set bits.
+// applyJoinMask is applyJoin over a word-packed join mask: the
+// derandomized commit path, reusing the join mask kept during seed
+// selection by walking only its set bits.
 func applyJoinMask(g *graph.Graph, state []NodeState, join bitset.Mask) int {
 	decided := 0
 	join.ForEach(func(i int) {
@@ -204,14 +203,9 @@ type Options struct {
 	SeedBits  int // PRG seed length (default Θ(log Δ) capped at 10)
 	MaxRounds int // safety cap (default 4·log₂ n + 8)
 	// Bitwise switches seed selection from flat enumeration to the
-	// bit-by-bit method of conditional expectations (same guarantee; on the
-	// table path the branch means are subset sums of precomputed totals).
+	// bit-by-bit method of conditional expectations (same guarantee; the
+	// branch means are subset sums of precomputed totals).
 	Bitwise bool
-	// NaiveScoring forces the monolithic per-seed rescoring oracle instead
-	// of the incremental contribution-table engine (engine.go). Both
-	// produce identical results (seed, score, certificate, MIS); the naive
-	// path exists for differential tests and ablation baselines.
-	NaiveScoring bool
 	// Par scopes the round's parallel loops and seed walks to an explicit
 	// worker budget; Derandomized derives a context-carrying copy from its
 	// ctx argument. nil means the process default.
@@ -221,14 +215,17 @@ type Options struct {
 	// Cache pools contribution tables and per-worker scratch across rounds
 	// and runs. nil means per-round pooling only.
 	Cache *Cache
+
+	// selectSeed replaces selectRound when non-nil: the seam the
+	// package's tests route the naive per-seed oracle through.
+	selectSeed func(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error)
 }
 
 // Derandomized runs Luby's algorithm under the framework: each round is
 // one Lemma 10 invocation — chunk the PRG output by node (identity
 // chunking suffices for MIS since the success property is radius-1),
 // select the seed minimizing the number of still-undecided nodes, commit.
-// Seed scoring runs on the incremental contribution-table engine
-// (engine.go) unless Options.NaiveScoring forces the per-seed oracle.
+// Seed scoring runs on condexp.Select (engine.go).
 // The result is deterministic, independent with certainty, and maximal
 // with Skipped nodes (if any) excluded — mirroring that failed nodes defer
 // without breaking WSP for the rest. A final sequential sweep decides any
@@ -261,27 +258,16 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 		}
 		sp := trace.Begin(o.Trace, "mis", "luby-round", r, len(parts))
 		gen := prg.NewKWise(4, o.SeedBits, n*priorityBits)
-		var sel condexp.Result
-		var decided int
-		var err error
-		if o.NaiveScoring {
-			sel, err = selectSeedNaive(g, state, gen, chunkOf, len(parts), o)
-			if err == nil {
-				src, _ := prg.NewChunkedSource(gen, sel.Seed, chunkOf, n, priorityBits)
-				decided = applyJoin(g, state, lubyRound(o.Par, g, state, src.BitsFor))
-			}
-		} else {
-			eng := newRoundEngine(g, state, parts, gen, chunkOf, n, o.Cache)
-			var join bitset.Mask
-			sel, join, err = eng.selectSeedTable(o)
-			if err == nil {
-				decided = applyJoinMask(g, state, join)
-			}
+		selectSeed := selectRound
+		if o.selectSeed != nil {
+			selectSeed = o.selectSeed
 		}
+		sel, join, err := selectSeed(g, state, parts, gen, chunkOf, o)
 		if err != nil {
 			sp.End(0, 0, 0)
 			return Result{}, err
 		}
+		decided := applyJoinMask(g, state, join)
 		res.SeedReports = append(res.SeedReports, sel)
 		res.Rounds++
 		sp.End(sel.Evals, decided, 0)
@@ -308,35 +294,11 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 	return res, nil
 }
 
-// selectSeedNaive is the monolithic oracle: one full PRG expansion plus
-// full-graph Luby simulation per evaluated seed (the winner is
-// re-simulated by the caller). It is the path the table engine is
-// differentially tested against. A cancelled runner short-circuits the
-// remaining evaluations and surfaces the context error.
-func selectSeedNaive(g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int, o Options) (condexp.Result, error) {
-	n := g.N()
-	scorer := func(seed uint64) int64 {
-		if o.Par.Err() != nil {
-			return 0 // discarded with the selection
-		}
-		src, err := prg.NewChunkedSource(gen, seed, chunkOf, n, priorityBits)
-		if err != nil {
-			panic(err)
-		}
-		join := lubyRound(o.Par, g, state, src.BitsFor)
-		// Pessimistic estimator: nodes still undecided afterwards.
-		return int64(undecided) - int64(simulateDecided(o.Par, g, state, join))
-	}
-	var sel condexp.Result
-	if o.Bitwise {
-		sel = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
-	} else {
-		sel = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
-	}
-	if err := o.Par.Err(); err != nil {
-		return condexp.Result{}, err
-	}
-	return sel, nil
+// selectRound is Derandomized's seed selection: the round engine on
+// condexp.Select. It returns the chosen seed's join mask.
+func selectRound(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error) {
+	e := newRoundEngine(o.Par, g, state, parts, gen, chunkOf)
+	return condexp.Select(o.Par, o.Cache, e, len(parts), o.SeedBits, o.Bitwise)
 }
 
 // undecidedNodes lists the current round's participants in ascending node
@@ -349,26 +311,6 @@ func undecidedNodes(state []NodeState) []int32 {
 		}
 	}
 	return out
-}
-
-// simulateDecided counts how many currently-undecided nodes would become
-// decided if join were applied, without mutating state.
-func simulateDecided(r *par.Runner, g *graph.Graph, state []NodeState, join []bool) int {
-	return int(r.ReduceInt(g.N(), func(i int) int64 {
-		v := int32(i)
-		if state[v] != Undecided {
-			return 0
-		}
-		if join[v] {
-			return 1
-		}
-		for _, u := range g.Neighbors(v) {
-			if join[u] {
-				return 1
-			}
-		}
-		return 0
-	}))
 }
 
 func countUndecided(state []NodeState) int {

@@ -172,8 +172,7 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 		for _, bitwise := range []bool{false, true} {
 			for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
 				o := Options{SeedBits: 6, Bitwise: bitwise}
-				oNaive := o
-				oNaive.NaiveScoring = true
+				oNaive := naiveOpts(o)
 				o.Par = par.NewRunner(workers)
 				oNaive.Par = par.NewRunner(workers)
 				tab := mustDerand(t, g, o)
@@ -208,7 +207,7 @@ func TestTableEvalReduction(t *testing.T) {
 	g := graph.Gnp(100, 0.06, 2)
 	const d = 5
 	tab := mustDerand(t, g, Options{SeedBits: d, Bitwise: true})
-	naive := mustDerand(t, g, Options{SeedBits: d, Bitwise: true, NaiveScoring: true})
+	naive := mustDerand(t, g, naiveOpts(Options{SeedBits: d, Bitwise: true}))
 	for i := range tab.SeedReports {
 		if got, want := tab.SeedReports[i].Evals, 1<<d; got != want {
 			t.Fatalf("round %d: table evals %d, want %d", i, got, want)
@@ -270,9 +269,13 @@ func BenchmarkSeedSelectionMIS(b *testing.B) {
 		{"table/bitwise", false, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			o := Options{SeedBits: 8, Bitwise: cfg.bitwise}
+			if cfg.naive {
+				o = naiveOpts(o)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _ = Derandomized(context.Background(), g, Options{SeedBits: 8, Bitwise: cfg.bitwise, NaiveScoring: cfg.naive})
+				_, _ = Derandomized(context.Background(), g, o)
 			}
 		})
 	}

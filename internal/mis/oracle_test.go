@@ -3,11 +3,83 @@ package mis
 import (
 	"testing"
 
+	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/graph"
 	"parcolor/internal/par"
 	"parcolor/internal/prg"
 )
+
+// selectSeedNaive is the monolithic oracle for the round engine: one full
+// PRG expansion plus full-graph Luby simulation per evaluated seed through
+// condexp.SelectSeed/SelectSeedBitwise, and a final re-simulation of the
+// winner. Tests install it through Options.selectSeed (see naiveOpts). A
+// cancelled runner short-circuits the remaining evaluations and surfaces
+// the context error.
+func selectSeedNaive(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error) {
+	n := g.N()
+	round := func(seed uint64) []bool {
+		src, err := prg.NewChunkedSource(gen, seed, chunkOf, n, priorityBits)
+		if err != nil {
+			panic(err)
+		}
+		return lubyRound(o.Par, g, state, src.BitsFor)
+	}
+	scorer := func(seed uint64) int64 {
+		if o.Par.Err() != nil {
+			return 0 // discarded with the selection
+		}
+		// Pessimistic estimator: nodes still undecided afterwards.
+		return int64(len(parts)) - int64(simulateDecided(o.Par, g, state, round(seed)))
+	}
+	var sel condexp.Result
+	if o.Bitwise {
+		sel = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
+	} else {
+		sel = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
+	}
+	if err := o.Par.Err(); err != nil {
+		return condexp.Result{}, nil, err
+	}
+	join := bitset.New(n)
+	join.FromBools(round(sel.Seed))
+	return sel, join, nil
+}
+
+// simulateDecided counts how many currently-undecided nodes would become
+// decided if join were applied, without mutating state.
+func simulateDecided(r *par.Runner, g *graph.Graph, state []NodeState, join []bool) int {
+	return int(r.ReduceInt(g.N(), func(i int) int64 {
+		v := int32(i)
+		if state[v] != Undecided {
+			return 0
+		}
+		if join[v] {
+			return 1
+		}
+		for _, u := range g.Neighbors(v) {
+			if join[u] {
+				return 1
+			}
+		}
+		return 0
+	}))
+}
+
+// naiveOpts returns o with the naive oracle in place of the engine.
+func naiveOpts(o Options) Options {
+	o.selectSeed = selectSeedNaive
+	return o
+}
+
+// engineFill adapts the round engine's Fill to a condexp.ChunkFiller over
+// Select's chunk layout, with fresh scratch per seed, so tests can rebuild
+// the engine's table through condexp.BuildTable and BuildChunkMajorOracle.
+func engineFill(e *roundEngine) condexp.ChunkFiller {
+	np := len(e.parts)
+	bounds := condexp.ChunkBounds(np, condexp.ScoreChunks(np))
+	return func(seed uint64, row []int64) { e.Fill(new(misScratch), seed, bounds, row) }
+}
 
 // TestRoundEngineSeedMajorMatchesChunkMajorOracle pins the Luby round
 // engine's seed-major table bit-identical to the retained chunk-major
@@ -48,12 +120,12 @@ func TestRoundEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 			gen := prg.NewKWise(4, seedBits, n*priorityBits)
 			numSeeds := 1 << seedBits
 
-			oracleEng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n, nil)
-			oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
+			k := condexp.ScoreChunks(len(parts))
+			oc, ot := condexp.BuildChunkMajorOracle(numSeeds, k, engineFill(newRoundEngine(nil, g, tc.state, parts, gen, chunkOf)))
 
 			for _, w := range []int{1, 4, 0} {
-				eng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n, nil)
-				tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
+				fill := engineFill(newRoundEngine(nil, g, tc.state, parts, gen, chunkOf))
+				tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, k, fill)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -105,7 +105,6 @@ func TestKeyCanonicalizationProperties(t *testing.T) {
 	inv := base
 	inv.Workers = 7
 	inv.SkipVerify = true
-	inv.NaiveScoring = true
 	if KeyForGraph(g, "trivial", inv) != k0 {
 		t.Fatal("result-invariant options changed the key")
 	}

@@ -25,10 +25,10 @@ import (
 //     cheaper keys were preferred over cross-form unification.
 //   - Options enter the key only if they can change the output bits:
 //     Algorithm, Seed, SeedBits, UseNisan, Bitwise, Bins, MidDegree,
-//     LowDeg, DegreeRanges, DegreeShard. Workers, SkipVerify and
-//     NaiveScoring are documented result-invariant (they change cost,
-//     never the coloring) and are deliberately excluded, so e.g. traffic
-//     mixing worker budgets still shares cache lines.
+//     LowDeg, DegreeRanges, DegreeShard. Workers and SkipVerify are
+//     documented result-invariant (they change cost, never the coloring)
+//     and are deliberately excluded, so e.g. traffic mixing worker
+//     budgets still shares cache lines.
 
 // keyVersion guards the serialization: bump it whenever the canonical
 // form changes so stale keys can never alias new ones.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parcolor/internal/d1lc"
+	"parcolor/internal/deframe"
 	"parcolor/internal/graph"
 	"parcolor/internal/par"
 	"parcolor/internal/trace"
@@ -33,7 +34,7 @@ func fusedSuite() []*d1lc.Instance {
 func TestFusedMatchesSerialOracle(t *testing.T) {
 	for gi, in := range fusedSuite() {
 		opts := Options{Bins: 4, MidDegree: 12}
-		opts.SerialBins = true
+		opts.serialBins = true
 		opts.Par = par.NewRunner(1)
 		oracleCol, oracleRep, err := ColorReduce(context.Background(), in, opts, greedyBase)
 		if err != nil {
@@ -47,7 +48,7 @@ func TestFusedMatchesSerialOracle(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			for _, serial := range []bool{false, true} {
-				fo := Options{Bins: 4, MidDegree: 12, SerialBins: serial}
+				fo := Options{Bins: 4, MidDegree: 12, serialBins: serial}
 				fo.Par = par.NewRunner(workers)
 				col, rep, err := ColorReduce(context.Background(), in, fo, greedyBase)
 				if err != nil {
@@ -105,7 +106,7 @@ func TestFusedEmitsBinSpans(t *testing.T) {
 	for _, serial := range []bool{false, true} {
 		in := d1lc.TrivialPalettes(graph.Gnp(600, 0.15, 1))
 		tc := trace.NewCollector()
-		o := Options{Bins: 4, MidDegree: 12, SerialBins: serial, Trace: tc}
+		o := Options{Bins: 4, MidDegree: 12, serialBins: serial, Trace: tc}
 		if _, _, err := ColorReduce(context.Background(), in, o, greedyBase); err != nil {
 			t.Fatal(err)
 		}
@@ -143,13 +144,76 @@ func TestColorReduceCancelMidFanOut(t *testing.T) {
 			}
 			return greedyBase(sub)
 		}
-		o := Options{Bins: 4, MidDegree: 12, SerialBins: serial}
+		o := Options{Bins: 4, MidDegree: 12, serialBins: serial}
 		col, _, err := ColorReduce(ctx, in, o, base)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("serial=%v: err = %v, want context.Canceled", serial, err)
 		}
 		if col != nil {
 			t.Fatalf("serial=%v: got a coloring alongside the error", serial)
+		}
+	}
+}
+
+// TestSerialBinsOracleBitIdentical pins the deterministic pipeline's fused
+// sparsification schedule — over the deframe base solver, configured as
+// the Solver configures it — to the sequential copy-path oracle, at
+// workers 1 and 4, with and without degree sharding (which feeds the
+// partitioner its shard-aware chunking).
+func TestSerialBinsOracleBitIdentical(t *testing.T) {
+	g, err := graph.Named("gnp-dense", 800, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := d1lc.TrivialPalettes(g)
+	solve := func(in *d1lc.Instance, workers int, serial bool, shards []int32) (*d1lc.Coloring, *Report) {
+		t.Helper()
+		r := par.NewRunner(workers)
+		dopt := deframe.Options{Par: r, Cache: deframe.NewCache(), MemoGraph: in.G}
+		base := func(sub *d1lc.Instance) (*d1lc.Coloring, error) {
+			col, _, err := deframe.Run(context.Background(), sub, dopt)
+			return col, err
+		}
+		o := Options{MidDegree: 16, Par: r, ShardOffsets: shards, serialBins: serial}
+		col, rep, err := ColorReduce(context.Background(), in, o, base)
+		if err != nil {
+			t.Fatalf("workers=%d serial=%v shards=%v: %v", workers, serial, shards != nil, err)
+		}
+		if err := d1lc.Verify(in, col); err != nil {
+			t.Fatalf("workers=%d serial=%v shards=%v: %v", workers, serial, shards != nil, err)
+		}
+		return col, rep
+	}
+	want, wantRep := solve(in, 1, true, nil)
+	if wantRep.Partitions == 0 {
+		t.Fatalf("oracle never partitioned: %+v", wantRep)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, shard := range []bool{false, true} {
+			if shard {
+				// Sharding permutes the instance, so only the report's
+				// schedule shape is comparable, not the coloring bits.
+				rl := graph.DegreeSorted(in.G)
+				pal := make([][]int32, in.G.N())
+				for i, old := range rl.OldOf {
+					pal[i] = in.Palettes[old]
+				}
+				sharded := &d1lc.Instance{G: rl.Apply(par.NewRunner(workers), in.G), Palettes: pal}
+				if _, rep := solve(sharded, workers, false, rl.ShardOffsets); rep.Partitions != wantRep.Partitions {
+					t.Fatalf("workers=%d shard=%v: partitions %d, want %d",
+						workers, shard, rep.Partitions, wantRep.Partitions)
+				}
+				continue
+			}
+			got, rep := solve(in, workers, false, nil)
+			for v := range want.Colors {
+				if got.Colors[v] != want.Colors[v] {
+					t.Fatalf("workers=%d: color[%d] = %d, oracle %d", workers, v, got.Colors[v], want.Colors[v])
+				}
+			}
+			if *rep != *wantRep {
+				t.Fatalf("workers=%d: report %+v, oracle %+v", workers, *rep, *wantRep)
+			}
 		}
 	}
 }

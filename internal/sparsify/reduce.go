@@ -22,7 +22,7 @@ import (
 // The schedule is fused: one counting-sort pass buckets every node by
 // bin, restricted bins fan out as independent work units on a split
 // worker budget, and sub-instances are extracted through pooled arenas
-// (see the package doc). Options.SerialBins retains the sequential
+// (see the package doc). Options.serialBins retains the sequential
 // copy-based schedule as the differential oracle.
 
 // BaseSolver colors a low-degree instance; the deterministic pipeline
@@ -213,11 +213,11 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 	// Bins 0..Bins−2: disjoint palettes, solved independently
 	// (Algorithm 11 line 2 — "in parallel"). Restricted bins never read
 	// col and write disjoint node sets, so the fused schedule runs them
-	// concurrently on a split worker budget; SerialBins retains the
+	// concurrently on a split worker budget; serialBins retains the
 	// sequential order (identical results — reports merge in bin-index
 	// order either way, and the first error by bin index wins).
 	restricted := part.Bins - 1
-	if o.SerialBins {
+	if o.serialBins {
 		for b := 0; b < restricted; b++ {
 			if err := o.Par.Err(); err != nil {
 				return nil, rep, err
@@ -279,7 +279,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 		var sub *d1lc.Instance
 		var origOf []int32
 		var ar *d1lc.ReduceArena
-		if o.SerialBins {
+		if o.serialBins {
 			sub, origOf = d1lc.ReducePar(o.Par, in, col, midNodes)
 		} else {
 			ar = reduceArenas.Get().(*d1lc.ReduceArena)
@@ -310,7 +310,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 // is the bin's color class (colors of other classes cannot conflict
 // because neighbors in other restricted bins use other classes); the
 // catch-all bin and any safety cases use full self-reduction against
-// colors already committed. o.SerialBins selects the copy-based
+// colors already committed. o.serialBins selects the copy-based
 // extraction (InducedSubgraphPar + per-node palettes); otherwise pooled
 // arenas back the sub-instance, held until recursion and write-back
 // complete.
@@ -324,7 +324,7 @@ func solveBin(in *d1lc.Instance, col *d1lc.Coloring, part *Partition, bin int32,
 	var ra *restrictedArena
 	var da *d1lc.ReduceArena
 	if restricted {
-		if o.SerialBins {
+		if o.serialBins {
 			subG, orig := graph.InducedSubgraphPar(o.Par, in.G, nodes)
 			pal := make([][]int32, subG.N())
 			for i, v := range orig {
@@ -344,7 +344,7 @@ func solveBin(in *d1lc.Instance, col *d1lc.Coloring, part *Partition, bin int32,
 			return nil, fmt.Errorf("sparsify: bin %d produced invalid instance: %v", bin, err)
 		}
 	} else {
-		if o.SerialBins {
+		if o.serialBins {
 			sub, origOf = d1lc.ReducePar(o.Par, in, col, nodes)
 		} else {
 			da = reduceArenas.Get().(*d1lc.ReduceArena)

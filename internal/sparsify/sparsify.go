@@ -26,8 +26,8 @@
 // bin and G_mid retain their sequential ordering after a barrier (they
 // self-reduce against committed colors), and per-bin reports are merged
 // in bin-index order, so the fused schedule is bit-identical to the
-// sequential one (Options.SerialBins retains it as the differential
-// oracle).
+// sequential one (the unexported Options.serialBins retains it as the
+// package tests' differential oracle).
 //
 // # One-pass bucketing and arena extraction
 //
@@ -136,11 +136,11 @@ type Options struct {
 	// contiguous index splits. Only the top partition level uses it —
 	// sub-instances are relabeled and carry no shard structure.
 	ShardOffsets []int32
-	// SerialBins forces the sequential restricted-bin schedule and the
+	// serialBins forces the sequential restricted-bin schedule and the
 	// copy-based extraction path (InducedSubgraphPar + per-node palette
-	// allocations): the retained oracle the fused parallel path is
-	// differentially tested against. Results are bit-identical either way.
-	SerialBins bool
+	// allocations): the oracle the package's tests check the fused
+	// parallel path against. Results are bit-identical either way.
+	serialBins bool
 }
 
 func (o Options) withDefaults(n int) Options {

@@ -167,10 +167,6 @@ type Options struct {
 	// Bitwise selects bit-by-bit conditional expectations instead of full
 	// parallel seed enumeration.
 	Bitwise bool
-	// NaiveScoring forces the derandomizer's monolithic per-seed scoring
-	// path instead of the incremental contribution-table engine; results
-	// are identical, only cost differs (ablation/benchmark baseline).
-	NaiveScoring bool
 	// Bins is the sparsification fan-out n^δ (0 = auto).
 	Bins int
 	// MidDegree is the degree threshold below which nodes skip
@@ -193,12 +189,6 @@ type Options struct {
 	// regular graphs (identity relabeling) it is bit-identical to the
 	// unsharded solve.
 	DegreeShard bool
-	// SerialBins makes the deterministic solver's sparsification schedule
-	// solve restricted bins sequentially through the copy-based
-	// extraction path instead of the fused parallel schedule. Results are
-	// bit-identical either way — this is the differential oracle and
-	// ablation baseline, not a tuning knob.
-	SerialBins bool
 }
 
 // Result is a Solve outcome.

@@ -115,12 +115,6 @@ func WithBitwise(on bool) Option {
 	return func(s *Solver) error { s.o.Bitwise = on; return nil }
 }
 
-// WithNaiveScoring forces the monolithic per-seed scoring oracle
-// (ablation/benchmark baseline; results identical).
-func WithNaiveScoring(on bool) Option {
-	return func(s *Solver) error { s.o.NaiveScoring = on; return nil }
-}
-
 // WithBins sets the sparsification fan-out n^δ (0 = auto). Validated by
 // NewSolver.
 func WithBins(bins int) Option {
@@ -160,14 +154,6 @@ func WithTrace(t Tracer) Option {
 // permutation. Verification always runs against the original instance.
 func WithDegreeShard(on bool) Option {
 	return func(s *Solver) error { s.o.DegreeShard = on; return nil }
-}
-
-// WithSerialBins makes the deterministic solver's sparsification solve
-// restricted bins sequentially through the copy-based extraction path
-// instead of the fused parallel schedule (ablation/differential oracle;
-// results identical).
-func WithSerialBins(on bool) Option {
-	return func(s *Solver) error { s.o.SerialBins = on; return nil }
 }
 
 // WithBatchConcurrency bounds how many instances SolveBatch streams
@@ -343,13 +329,12 @@ func (s *Solver) SolveBatch(ctx context.Context, ins []*Instance) ([]*Result, er
 
 func (s *Solver) deframeOptions(tr Tracer) deframe.Options {
 	dopt := deframe.Options{
-		SeedBits:     s.o.SeedBits,
-		Bitwise:      s.o.Bitwise,
-		NaiveScoring: s.o.NaiveScoring,
-		Tunables:     hknt.Tunables{LowDeg: s.o.LowDeg},
-		Par:          s.run,
-		Trace:        tr,
-		Cache:        s.dfCache,
+		SeedBits: s.o.SeedBits,
+		Bitwise:  s.o.Bitwise,
+		Tunables: hknt.Tunables{LowDeg: s.o.LowDeg},
+		Par:      s.run,
+		Trace:    tr,
+		Cache:    s.dfCache,
 	}
 	if s.o.UseNisan {
 		dopt.PRG = deframe.PRGNisan
@@ -387,11 +372,10 @@ func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph
 		return col, nil
 	}
 	sopt := sparsify.Options{
-		Bins:       s.o.Bins,
-		MidDegree:  s.o.MidDegree,
-		Par:        s.run,
-		Trace:      s.tracer,
-		SerialBins: s.o.SerialBins,
+		Bins:      s.o.Bins,
+		MidDegree: s.o.MidDegree,
+		Par:       s.run,
+		Trace:     s.tracer,
 	}
 	if rl != nil {
 		sopt.ShardOffsets = rl.ShardOffsets
@@ -455,12 +439,11 @@ func (s *Solver) solveLowDeg(ctx context.Context, in *Instance) (*Result, error)
 		sb = 10
 	}
 	col, stats, err := lowdeg.IterativeDerandomized(ctx, in, lowdeg.Options{
-		SeedBits:     sb,
-		Bitwise:      s.o.Bitwise,
-		NaiveScoring: s.o.NaiveScoring,
-		Par:          s.run,
-		Trace:        s.tracer,
-		Cache:        s.lowCache,
+		SeedBits: sb,
+		Bitwise:  s.o.Bitwise,
+		Par:      s.run,
+		Trace:    s.tracer,
+		Cache:    s.lowCache,
 	})
 	if err != nil {
 		return nil, err
@@ -570,8 +553,7 @@ func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedB
 		return nil, err
 	}
 	col, stats, err := mpc.DeterministicColorMPC(ctx, c, in, seedBits, 0, s.tracer, mpc.RoundOptions{
-		NaiveScoring: s.o.NaiveScoring,
-		Retry:        rc.retry,
+		Retry: rc.retry,
 	})
 	degraded := false
 	degradedReason := ""
@@ -591,9 +573,7 @@ func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedB
 			sp.End(0, 0, 0)
 			return nil, err
 		}
-		col, stats, err = mpc.DeterministicColorMPC(ctx, c, in, seedBits, 0, s.tracer, mpc.RoundOptions{
-			NaiveScoring: s.o.NaiveScoring,
-		})
+		col, stats, err = mpc.DeterministicColorMPC(ctx, c, in, seedBits, 0, s.tracer, mpc.RoundOptions{})
 		if err != nil {
 			sp.End(0, 0, 0)
 			return nil, err
@@ -630,19 +610,18 @@ func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedB
 // algorithm on this Solver's harness: ctx cancels between rounds and
 // inside seed walks, workers are bounded by the Solver's budget, scratch
 // comes from the shared pools, the attached Tracer observes one phase per
-// Luby round, and the Solver's SeedBits/Bitwise/NaiveScoring selections
-// apply to the per-round seed selection.
+// Luby round, and the Solver's SeedBits/Bitwise selections apply to the
+// per-round seed selection.
 func (s *Solver) MIS(ctx context.Context, g *graph.Graph) (MISResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	r, err := mis.Derandomized(ctx, g, mis.Options{
-		SeedBits:     s.o.SeedBits,
-		Bitwise:      s.o.Bitwise,
-		NaiveScoring: s.o.NaiveScoring,
-		Par:          s.run,
-		Trace:        s.tracer,
-		Cache:        s.misCache,
+		SeedBits: s.o.SeedBits,
+		Bitwise:  s.o.Bitwise,
+		Par:      s.run,
+		Trace:    s.tracer,
+		Cache:    s.misCache,
 	})
 	if err != nil {
 		return MISResult{}, err

@@ -359,42 +359,3 @@ func TestCompatWrappersMatchSolver(t *testing.T) {
 		t.Fatalf("accounting differs: %+v vs %+v", wrap, direct)
 	}
 }
-
-// TestSerialBinsOracleBitIdentical pins the deterministic solver's fused
-// sparsification schedule to the sequential copy-path oracle through the
-// public API, with and without degree sharding (which feeds the
-// partitioner its shard-aware chunking).
-func TestSerialBinsOracleBitIdentical(t *testing.T) {
-	in := TrivialPalettes(GenerateGraph("gnp-dense", 800, 2))
-	oracle := mustSolver(t, WithSerialBins(true), WithWorkers(1), WithMidDegree(16))
-	want, err := oracle.Solve(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Sparsify == nil || want.Sparsify.Partitions == 0 {
-		t.Fatalf("oracle never partitioned: %+v", want.Sparsify)
-	}
-	for _, workers := range []int{1, 4} {
-		for _, shard := range []bool{false, true} {
-			s := mustSolver(t, WithWorkers(workers), WithMidDegree(16), WithDegreeShard(shard))
-			got, err := s.Solve(context.Background(), in)
-			if err != nil {
-				t.Fatalf("workers=%d shard=%v: %v", workers, shard, err)
-			}
-			label := "fused"
-			if shard {
-				// Sharding permutes the instance, so only the report's
-				// schedule shape is comparable, not the coloring bits.
-				if got.Sparsify.Partitions != want.Sparsify.Partitions {
-					t.Fatalf("workers=%d shard=%v: partitions %d, want %d",
-						workers, shard, got.Sparsify.Partitions, want.Sparsify.Partitions)
-				}
-				continue
-			}
-			sameColoring(t, got.Coloring, want.Coloring, label)
-			if *got.Sparsify != *want.Sparsify {
-				t.Fatalf("workers=%d: report %+v, oracle %+v", workers, *got.Sparsify, *want.Sparsify)
-			}
-		}
-	}
-}
