@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff
+.PHONY: all build test race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff
 
 all: build test
 
@@ -12,15 +12,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# test-chaos runs the fault-injection surface under the race detector:
-# the injector's own unit/fuzz corpus, the mpc cancellation/retry tests,
-# and the parcolor-level chaos differential suite (3 fixed seeds ×
-# drop/straggler/crash schedules pinning "bit-identical to the fault-free
-# oracle, or a classified error — never silently wrong").
-test-chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Cancel|Retry|Example' \
-		./internal/faultinject ./internal/mpc .
 
 vet:
 	$(GO) vet ./...

@@ -19,34 +19,15 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "", "experiment id (E1..E17); empty = all")
+		table    = flag.String("table", "", "experiment id (E1..E16); empty = all")
 		quick    = flag.Bool("quick", false, "small sweeps")
 		csv      = flag.Bool("csv", false, "CSV output")
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		seedBits = flag.Int("seedbits", 6, "derandomization seed bits")
-
-		// Fault-schedule flags override E17's built-in chaos matrix with
-		// one custom schedule (they have no effect on other tables).
-		faultSeed    = flag.Uint64("fault-seed", 1, "chaos PRG seed for the custom schedule")
-		faultDrop    = flag.Float64("fault-drop", 0, "per-message drop probability [0,1]")
-		faultDup     = flag.Float64("fault-dup", 0, "per-message duplication probability [0,1]")
-		faultReorder = flag.Float64("fault-reorder", 0, "per-inbox reorder probability [0,1]")
-		faultCrash   = flag.Int("fault-crash", -1, "machine to crash (-1 = none)")
-		faultFrom    = flag.Int("fault-crash-from", 0, "crash window start tick")
-		faultTo      = flag.Int("fault-crash-to", 5, "crash window end tick (exclusive; -1 = never restarts)")
-		faultSilent  = flag.Bool("fault-silent", false, "crash silently (message loss) instead of loudly")
-		faultRetries = flag.Int("fault-retries", 0, "per-phase retry budget (0 = default 8)")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{
-		Quick: *quick, Seed: *seed, SeedBits: *seedBits,
-		Fault: experiments.FaultConfig{
-			Seed: *faultSeed, Drop: *faultDrop, Dup: *faultDup, Reorder: *faultReorder,
-			CrashMachine: *faultCrash, CrashFrom: *faultFrom, CrashTo: *faultTo,
-			CrashSilent: *faultSilent, Retries: *faultRetries,
-		},
-	}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, SeedBits: *seedBits}
 	ids := experiments.IDs()
 	if *table != "" {
 		ids = []string{*table}

@@ -5,19 +5,12 @@
 // accounting. This is the slow, model-exact path; compare the space
 // high-water marks it reports against the s = n^φ budget.
 //
-// The second half re-runs the same solve over a deliberately lossy
-// transport (seeded drops plus a transient silent crash) with retries and
-// the loopback fallback armed, and prints the recovery trace — the
-// runnable demo of the engine's graceful-degradation path.
-//
 //	go run ./examples/mpcfaithful
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"parcolor"
 )
@@ -52,59 +45,4 @@ func main() {
 	}
 	fmt.Printf("(shared-memory deterministic solver for comparison: %d LOCAL rounds, %d colors)\n",
 		fast.Rounds, fast.DistinctColors)
-
-	// --- Lossy transport: retry, then degrade gracefully ----------------
-	// Re-run the identical solve over a chaotic wire: 2% seeded message
-	// drops everywhere, plus machine 5 silently black-holing its traffic
-	// for the first three delivery ticks. Per-phase retries recover the
-	// transient faults; if the budget ever ran out, the armed fallback
-	// would re-run on a fault-free in-process cluster instead of failing.
-	collector := parcolor.NewTraceCollector()
-	solver, err := parcolor.NewSolver(parcolor.WithTrace(collector))
-	if err != nil {
-		log.Fatal(err)
-	}
-	lossy, err := solver.SolveOnMPC(context.Background(), in, s, 6,
-		parcolor.WithMPCFaults(parcolor.FaultSchedule{
-			Seed:     1,
-			DropProb: 0.02,
-			Crashes:  []parcolor.CrashSpan{{Machine: 5, From: 0, To: 3, Silent: true}},
-		}),
-		parcolor.WithMPCRetry(parcolor.MPCRetryPolicy{
-			MaxAttempts: 8,
-			BaseBackoff: 200 * time.Microsecond,
-		}),
-		parcolor.WithMPCFallback(true),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Printf("lossy transport: %d fault events injected, %d phase retries, degraded=%v\n",
-		lossy.FaultEvents, lossy.Retries, lossy.Degraded)
-	if lossy.Degraded {
-		fmt.Printf("  fallback reason: %s\n", lossy.DegradedReason)
-	}
-	same := true
-	for v, c := range lossy.Coloring.Colors {
-		if res.Coloring.Colors[v] != c {
-			same = false
-			break
-		}
-	}
-	fmt.Printf("coloring bit-identical to the fault-free run: %v\n", same)
-	fmt.Println("recovery trace (transport faults and retry spans):")
-	for _, row := range collector.Summary() {
-		if row.Engine != "transport" && row.Engine != "mpc" {
-			continue
-		}
-		switch {
-		case row.Engine == "transport":
-			fmt.Printf("  transport/%-8s ×%d\n", row.Phase, row.Count)
-		case len(row.Phase) > 6 && row.Phase[:6] == "retry:":
-			fmt.Printf("  mpc/%-16s ×%d (re-attempts)\n", row.Phase, row.Count)
-		case row.Phase == "fallback":
-			fmt.Printf("  mpc/%-16s ×%d\n", row.Phase, row.Count)
-		}
-	}
 }

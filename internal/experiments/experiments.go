@@ -22,29 +22,6 @@ type Config struct {
 	// sweeps tractable on a laptop; the certificate guarantees hold for
 	// any value).
 	SeedBits int
-	// Fault optionally overrides E17's built-in chaos schedules with one
-	// custom schedule (cmd/mpcbench -fault-* flags). Ignored by every
-	// other experiment.
-	Fault FaultConfig
-}
-
-// FaultConfig describes one custom chaos schedule for E17. The zero
-// value means "use the built-in drop/straggler/crash matrix".
-type FaultConfig struct {
-	Seed               uint64
-	Drop, Dup, Reorder float64
-	// CrashMachine < 0 disables the crash; the window is ticks
-	// [CrashFrom, CrashTo), CrashTo < 0 = never restarts.
-	CrashMachine       int
-	CrashFrom, CrashTo int
-	CrashSilent        bool
-	// Retries bounds per-phase recovery attempts (0 = 8).
-	Retries int
-}
-
-// Active reports whether the config describes any fault at all.
-func (f FaultConfig) Active() bool {
-	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.CrashMachine >= 0
 }
 
 func (c Config) withDefaults() Config {

@@ -8,7 +8,7 @@ import (
 func quickCfg() Config { return Config{Quick: true, Seed: 7, SeedBits: 4} }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"E1", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
+	want := []string{"E1", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %v", got)
@@ -247,22 +247,5 @@ func TestE15RecoversPlantedCliquesAtDefault(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no ε recovers the planted cliques violation-free: %v", tb.Rows)
-	}
-}
-
-func TestE17ChaosRecoveryAlwaysIdentical(t *testing.T) {
-	tb, err := Run("E17", quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) == 0 {
-		t.Fatal("empty table")
-	}
-	for _, row := range tb.Rows {
-		// The last column is the invariant: the lossy run (recovered by
-		// retries or the fallback) matches the fault-free oracle.
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("E17 chaos run diverged from the oracle: %v", row)
-		}
 	}
 }

@@ -4,60 +4,68 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 )
 
-// cancelAfterTransport delegates to Loopback but fires a context cancel
-// after a fixed number of Deliver calls — simulating the operator pulling
-// the plug while a multi-round converge-cast is in flight.
-type cancelAfterTransport struct {
-	calls  int
-	after  int
-	cancel context.CancelFunc
+// cancelOnCall is a context whose Err starts returning context.Canceled on
+// its after-th call. Round checks the context once, before it runs, so the
+// after-th round is the first one refused — simulating the operator
+// pulling the plug while a multi-round protocol is in flight.
+type cancelOnCall struct {
+	context.Context
+	calls, after int
 }
 
-func (t *cancelAfterTransport) Deliver(n int, envs []Envelope, deadline time.Duration) ([][]Delivery, error) {
-	t.calls++
-	if t.calls == t.after {
-		t.cancel()
+func (c *cancelOnCall) Err() error {
+	c.calls++
+	if c.calls >= c.after {
+		return context.Canceled
 	}
-	return Loopback{}.Deliver(n, envs, deadline)
+	return nil
 }
 
 // Cancelling mid-converge-cast must abort the selection promptly with
-// context.Canceled: the round already in flight completes (the model is
+// context.Canceled: the rounds already run stand (the model is
 // synchronous), but no further round starts.
 func TestRoundCancelMidConvergeCast(t *testing.T) {
 	const nm = 64
+	fill := func(mid int, row []int64) {
+		for s := range row {
+			row[s] = int64((mid ^ s) & 1)
+		}
+	}
+	full, err := NewCluster(Config{Machines: nm, LocalSpace: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DistributedSelectSeedRows(full, 32, fill); err != nil {
+		t.Fatal(err)
+	}
+
 	c, err := NewCluster(Config{Machines: nm, LocalSpace: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	// The row converge-cast over 64 machines spends several rounds
-	// (pipelined levels); cancelling on the 2nd Deliver lands mid-cast.
-	tp := &cancelAfterTransport{after: 2, cancel: cancel}
-	c.cfg.Transport = tp
+	// (compute, then pipelined levels); refusing the 3rd lands mid-cast.
+	ctx := &cancelOnCall{Context: context.Background(), after: 3}
 	c.SetContext(ctx)
 	defer c.SetContext(nil)
 
-	_, _, err = DistributedSelectSeedRows(c, 32, func(mid int, row []int64) {
-		for s := range row {
-			row[s] = int64((mid ^ s) & 1)
-		}
-	})
+	_, _, err = DistributedSelectSeedRows(c, 32, fill)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled mid-converge-cast, got %v", err)
 	}
-	if tp.calls != tp.after {
-		t.Fatalf("cast kept going after cancel: %d Deliver calls, cancelled on %d", tp.calls, tp.after)
+	if full.Metrics.Rounds <= ctx.after {
+		t.Fatalf("uncancelled cast takes %d rounds; a cancel on check %d is not mid-cast", full.Metrics.Rounds, ctx.after)
 	}
-	if c.Metrics.Rounds != tp.after {
-		t.Fatalf("committed rounds %d != delivered rounds %d", c.Metrics.Rounds, tp.after)
+	if ctx.calls != ctx.after {
+		t.Fatalf("cast kept going after cancel: %d context checks, cancelled on %d", ctx.calls, ctx.after)
+	}
+	if c.Metrics.Rounds != ctx.after-1 {
+		t.Fatalf("committed rounds %d != rounds that passed the check %d", c.Metrics.Rounds, ctx.after-1)
 	}
 }
 
@@ -70,15 +78,15 @@ func TestDeterministicColorMPCCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	tp := &cancelAfterTransport{after: 3, cancel: cancel}
-	c.cfg.Transport = tp
+	ctx := &cancelOnCall{Context: context.Background(), after: 4}
 	_, _, err = DeterministicColorMPC(ctx, c, in, 5, 0, nil, RoundOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if tp.calls != tp.after {
-		t.Fatalf("solver kept delivering after cancel: %d calls, cancelled on %d", tp.calls, tp.after)
+	if ctx.calls != ctx.after {
+		t.Fatalf("solver kept going after cancel: %d context checks, cancelled on %d", ctx.calls, ctx.after)
+	}
+	if c.Metrics.Rounds != ctx.after-1 {
+		t.Fatalf("committed rounds %d != rounds that passed the check %d", c.Metrics.Rounds, ctx.after-1)
 	}
 }

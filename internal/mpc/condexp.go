@@ -95,29 +95,14 @@ func DistributedSelectSeed(c *Cluster, numSeeds int, score SeedScorer) (bestSeed
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			// Fold child records, deduplicating per sender and verifying
-			// every expected child reported — a lossy transport turns a
-			// missing record into ErrSegmentLost here instead of a
-			// silently short sum.
 			for p := 0; p < nm; p++ {
-				var seen map[segKey]bool
 				for _, d := range c.Machines[p].Inbox {
-					if seen == nil {
-						seen = map[segKey]bool{}
-					}
-					if seen[segKey{d.From, 0}] {
-						continue // duplicate delivery
-					}
-					seen[segKey{d.From, 0}] = true
 					cnt := int(d.Rec[0])
 					for i := 0; i < cnt; i++ {
 						acc[p][i] += d.Rec[1+i]
 					}
 				}
 				c.Machines[p].Inbox = nil
-				if err := expectSegments(p, seen, heapChildrenIn(p, k, loP, hiP, nm), 1); err != nil {
-					return 0, 0, 0, err
-				}
 			}
 		}
 		for s := lo; s < hi; s++ {
@@ -222,10 +207,6 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 
 	nBatches := (numSeeds + batch - 1) / batch
 	levels := levelsOf(nm, k)
-	// recvd[p] records the (child, batch) segments machine p has folded,
-	// deduplicating duplicated deliveries at fold time and backing the
-	// post-cast completeness check that classifies lost segments.
-	recvd := make([]map[segKey]bool, nm)
 	// Pipelined converge-cast: at tick t, machines on level l forward
 	// batch b = t − (levels−1−l) — one round after their children sent b,
 	// so the vector sums are complete when forwarded. Leaves start at
@@ -255,15 +236,7 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 		}
 		for p := 0; p < nm; p++ {
 			for _, d := range c.Machines[p].Inbox {
-				b := int(d.Rec[0])
-				if recvd[p] == nil {
-					recvd[p] = map[segKey]bool{}
-				}
-				if recvd[p][segKey{d.From, b}] {
-					continue // duplicate delivery: fold the first copy only
-				}
-				recvd[p][segKey{d.From, b}] = true
-				lo := b * batch
+				lo := int(d.Rec[0]) * batch
 				seg := d.Rec[1:]
 				if p == 0 {
 					// Root: keep child d.From's subtree row as its own
@@ -280,16 +253,6 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 			c.Machines[p].Inbox = nil
 		}
 	}
-	// Completeness: every parent must have folded every batch of every
-	// child's subtree row. A lossy transport that dropped a segment fails
-	// the selection here — classified, retryable — rather than letting a
-	// short sum pick a different seed than the fault-free oracle.
-	for p := 0; p < nm; p++ {
-		if err := expectSegments(p, recvd[p], heapChildren(p, k, nm), nBatches); err != nil {
-			return condexp.Result{}, 0, err
-		}
-	}
-
 	// Root assembly and selection: transpose the chunk-major staging into
 	// the seed-major table (each seed's chunks land contiguously), reduce
 	// every row to its total, and select — pure ContribTable aggregation,
@@ -307,28 +270,6 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 		return condexp.Result{}, 0, err
 	}
 	return res, c.Metrics.Rounds - startRounds, nil
-}
-
-// heapChildren returns p's child positions in a k-ary heap over nm
-// positions: p·k+1 … p·k+k, clipped to the heap.
-func heapChildren(p, k, nm int) []int {
-	var out []int
-	for child := p*k + 1; child <= p*k+k && child < nm; child++ {
-		out = append(out, child)
-	}
-	return out
-}
-
-// heapChildrenIn is heapChildren restricted to children inside the level
-// range [lo, hi] — the senders of one scalar-aggregation round.
-func heapChildrenIn(p, k, lo, hi, nm int) []int {
-	var out []int
-	for _, child := range heapChildren(p, k, nm) {
-		if child >= lo && child <= hi {
-			out = append(out, child)
-		}
-	}
-	return out
 }
 
 // levelOfPos returns the level of position p in a k-ary heap (root = 0).

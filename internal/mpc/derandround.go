@@ -7,7 +7,6 @@ import (
 	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/prg"
-	"parcolor/internal/trace"
 )
 
 // This file closes the Lemma 10 loop on real machines: one fully
@@ -18,21 +17,13 @@ import (
 // protocol is O(1) MPC rounds for seed spaces of size O(s), matching the
 // paper's accounting.
 
-// RoundOptions configures one derandomized round's seed-selection
-// protocol and its fault-recovery policy.
+// RoundOptions selects one derandomized round's seed-selection protocol.
 type RoundOptions struct {
 	// NaiveScoring selects the scalar-batched DistributedSelectSeed oracle
 	// instead of the row-sharded converge-cast (the default). Both choose
 	// the identical seed; the scalar protocol spends at least as many
-	// simulated rounds. Kept for differential tests and ablations.
+	// simulated rounds. Kept for differential tests and ablations (E16).
 	NaiveScoring bool
-	// Retry bounds how each protocol phase (palette exchange, seed
-	// selection, commit, residue gather) recovers from classified
-	// transport faults. The zero value disables retries, keeping
-	// fault-free runs byte-identical to the pre-policy engine.
-	Retry RetryPolicy
-	// Trace observes retry spans ("mpc"/"retry:<phase>"); nil is free.
-	Trace trace.Tracer
 }
 
 // DerandomizedTRCRound runs one derandomized Algorithm 3 trial over the
@@ -54,65 +45,40 @@ func DerandomizedTRCRound(c *Cluster, in *d1lc.Instance, col *d1lc.Coloring, rem
 	bitsPer := gen.OutputBits() / numChunks
 
 	// Round A: exchange remaining palettes with neighbor homes — the
-	// Definition 5 input information (O(d(v)) words per node). The phase
-	// is idempotent (nbrPal is rebuilt per attempt), so a lost palette —
-	// detected against the host-known set of uncolored neighbors — is
-	// retried under the round's policy instead of silently skewing every
-	// downstream seed score.
-	nbrPal := make([]map[int32][]int32, n)
-	errA := c.retryPhase(opt.Retry, opt.Trace, "palette-exchange", func() error {
-		err := c.Round(func(m *Machine, out *Mailer) {
-			if m.ID >= n {
-				return
-			}
-			v := int32(m.ID)
-			if col.Colors[v] != d1lc.Uncolored {
-				return
-			}
-			msg := make([]int64, 0, len(remaining[v])+1)
-			msg = append(msg, int64(v))
-			for _, cc := range remaining[v] {
-				msg = append(msg, int64(cc))
-			}
-			for _, u := range g.Neighbors(v) {
-				out.Send(HomeOf(u), msg)
-			}
-		})
-		if err != nil {
-			return err
+	// Definition 5 input information (O(d(v)) words per node).
+	err = c.Round(func(m *Machine, out *Mailer) {
+		if m.ID >= n {
+			return
 		}
-		for v := int32(0); v < int32(n); v++ {
-			m := c.Machines[HomeOf(v)]
-			nbrPal[v] = map[int32][]int32{}
-			for _, del := range m.Inbox {
-				u := int32(del.Rec[0])
-				pal := make([]int32, 0, len(del.Rec)-1)
-				for _, w := range del.Rec[1:] {
-					pal = append(pal, int32(w))
-				}
-				nbrPal[v][u] = pal
-			}
-			m.Inbox = nil
+		v := int32(m.ID)
+		if col.Colors[v] != d1lc.Uncolored {
+			return
 		}
-		// Every uncolored neighbor sent a palette; a gap is a dropped
-		// delivery.
-		for v := int32(0); v < int32(n); v++ {
-			if col.Colors[v] != d1lc.Uncolored {
-				continue
-			}
-			for _, u := range g.Neighbors(v) {
-				if col.Colors[u] != d1lc.Uncolored {
-					continue
-				}
-				if _, ok := nbrPal[v][u]; !ok {
-					return fmt.Errorf("home %d missing palette of neighbor %d: %w", v, u, ErrSegmentLost)
-				}
-			}
+		msg := make([]int64, 0, len(remaining[v])+1)
+		msg = append(msg, int64(v))
+		for _, cc := range remaining[v] {
+			msg = append(msg, int64(cc))
 		}
-		return nil
+		for _, u := range g.Neighbors(v) {
+			out.Send(HomeOf(u), msg)
+		}
 	})
-	if errA != nil {
-		return 0, 0, 0, errA
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	nbrPal := make([]map[int32][]int32, n)
+	for v := int32(0); v < int32(n); v++ {
+		m := c.Machines[HomeOf(v)]
+		nbrPal[v] = map[int32][]int32{}
+		for _, del := range m.Inbox {
+			u := int32(del.Rec[0])
+			pal := make([]int32, 0, len(del.Rec)-1)
+			for _, w := range del.Rec[1:] {
+				pal = append(pal, int32(w))
+			}
+			nbrPal[v][u] = pal
+		}
+		m.Inbox = nil
 	}
 
 	// Local per-seed simulation at each home: the candidate of any node w
@@ -168,17 +134,10 @@ func DerandomizedTRCRound(c *Cluster, in *d1lc.Instance, col *d1lc.Coloring, rem
 		v := int32(mid)
 		return col.Colors[v] == d1lc.Uncolored && failure(mid, seed) == 0
 	}
-	// Seed selection retries as one unit: the converge-cast folds child
-	// segments incrementally, so a lost segment mid-cast is detected at
-	// the end (ErrSegmentLost) and the whole selection — a pure function
-	// of host state — is recomputed from scratch.
 	var best uint64
-	err = c.retryPhase(opt.Retry, opt.Trace, "seed-selection", func() error {
-		var serr error
-		if opt.NaiveScoring {
-			best, _, _, serr = DistributedSelectSeed(c, numSeeds, failure)
-			return serr
-		}
+	if opt.NaiveScoring {
+		best, _, _, err = DistributedSelectSeed(c, numSeeds, failure)
+	} else {
 		winsBySeed = make([]bitset.Mask, len(c.Machines))
 		fill := func(mid int, row []int64) {
 			w := bitset.New(numSeeds)
@@ -193,10 +152,9 @@ func DerandomizedTRCRound(c *Cluster, in *d1lc.Instance, col *d1lc.Coloring, rem
 			}
 		}
 		var res condexp.Result
-		res, _, serr = DistributedSelectSeedRows(c, numSeeds, fill)
+		res, _, err = DistributedSelectSeedRows(c, numSeeds, fill)
 		best = res.Seed
-		return serr
-	})
+	}
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -204,65 +162,32 @@ func DerandomizedTRCRound(c *Cluster, in *d1lc.Instance, col *d1lc.Coloring, rem
 	// Commit round: winners color themselves and announce. Winner-ness
 	// comes from the scoring pass's win mask on the row path (an
 	// uncolored, non-failing node's candidate is never Uncolored, since
-	// an empty draw counts as a failure). The durable mutations — colors
-	// and palette pruning — are applied only after every announcement is
-	// verified delivered, so a dropped one retries the round instead of
-	// leaving a neighbor with a stale palette.
+	// an empty draw counts as a failure). Colors are applied once the
+	// round completes, then each uncolored home prunes the announced
+	// colors from its palette.
 	won := make([]int32, n)
-	errC := c.retryPhase(opt.Retry, opt.Trace, "commit", func() error {
-		for v := range won {
-			won[v] = d1lc.Uncolored
+	for v := range won {
+		won[v] = d1lc.Uncolored
+	}
+	err = c.Round(func(m *Machine, out *Mailer) {
+		if m.ID >= n {
+			return
 		}
-		err := c.Round(func(m *Machine, out *Mailer) {
-			if m.ID >= n {
-				return
-			}
-			v := int32(m.ID)
-			if !wins(m.ID, best) {
-				return
-			}
-			cv := candidate(best, v, remaining[v])
-			if cv == d1lc.Uncolored {
-				return
-			}
-			won[v] = cv
-			for _, u := range g.Neighbors(v) {
-				out.Send(HomeOf(u), []int64{int64(v), int64(cv)})
-			}
-		})
-		if err != nil {
-			return err
+		v := int32(m.ID)
+		if !wins(m.ID, best) {
+			return
 		}
-		// got[u] = winners whose announcement reached u's home.
-		got := make([]map[int32]bool, n)
-		for v := int32(0); v < int32(n); v++ {
-			m := c.Machines[HomeOf(v)]
-			if len(m.Inbox) == 0 {
-				continue
-			}
-			set := make(map[int32]bool, len(m.Inbox))
-			for _, d := range m.Inbox {
-				set[int32(d.Rec[0])] = true
-			}
-			got[v] = set
+		cv := candidate(best, v, remaining[v])
+		if cv == d1lc.Uncolored {
+			return
 		}
-		for v := int32(0); v < int32(n); v++ {
-			if won[v] == d1lc.Uncolored {
-				continue
-			}
-			for _, u := range g.Neighbors(v) {
-				if !got[u][v] {
-					for i := range c.Machines {
-						c.Machines[i].Inbox = nil
-					}
-					return fmt.Errorf("home %d missing commit announcement of winner %d: %w", u, v, ErrSegmentLost)
-				}
-			}
+		won[v] = cv
+		for _, u := range g.Neighbors(v) {
+			out.Send(HomeOf(u), []int64{int64(v), int64(cv)})
 		}
-		return nil
 	})
-	if errC != nil {
-		return 0, 0, 0, errC
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	for v := int32(0); v < int32(n); v++ {
 		if won[v] != d1lc.Uncolored {

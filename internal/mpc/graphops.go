@@ -13,14 +13,6 @@ import (
 // messages with all neighbors and collect 2-hop neighborhoods in O(1)
 // rounds. These are the communication-critical primitives whose space
 // behaviour experiment E9 measures.
-//
-// Like the sort toolbox, the edge load and neighborhood-collection
-// helpers assume reliable delivery — a silently dropped edge record is
-// not detected here. The derandomized solve path re-derives everything it
-// needs from host state each phase and verifies completeness against the
-// host-known topology (see derandround.go), so it tolerates lossy
-// transports; callers using these helpers directly over one should wrap
-// the call in a retry or run them on the loopback.
 
 // HomeOf maps node v to its responsible machine under the standard layout:
 // machine v among the first n machines.

@@ -8,51 +8,21 @@
 // failing fast (Strict) or recording high-water marks for the space
 // experiments (E9). Machines execute concurrently on a goroutine worker
 // pool; determinism is preserved because inboxes are assembled in sender
-// order, not arrival order.
-//
-// # Transport seam and fault model
-//
-// Message routing is split behind the Transport interface: Round queues
-// every record a step sends as an Envelope and hands the batch to the
-// cluster's Transport, which assembles the per-machine inboxes. The
-// default Loopback transport is the historical in-process semantics —
-// instant, lossless, sender-ordered — and clusters configured without an
-// explicit Transport are bit-identical to the pre-seam engine (rounds,
-// message counts, inbox order). Other transports may be lossy: the
-// deterministic chaos wrapper in internal/faultinject drops, duplicates
-// and reorders envelopes, slows machines, and crash/restarts them on a
-// seeded schedule.
-//
-// Faults surface in two classified ways. Loud faults abort the round:
-// Round returns ErrRoundTimeout when delivery misses the configured
-// per-round deadline (a straggler) and ErrMachineLost when a machine is
-// detected down; no deliveries take effect for that round. Silent faults
-// (drops, duplicates) are caught by the protocols themselves: the
-// seed-selection converge-casts, the palette/commit exchanges of the
-// derandomized TRC round, and the residue gather each account for the
-// exact deliveries they expect, deduplicate duplicates, and fail the
-// phase with ErrSegmentLost when a record is missing — so a fault can
-// never silently corrupt a result. Faulty phases are re-attempted under
-// a RetryPolicy (bounded attempts, exponential backoff with seeded
-// jitter, context-aware), and every protocol is written so a re-attempt
-// recomputes the phase from scratch: retries change only cost metrics,
-// never the final coloring. Space violations are deliberately outside
-// the fault family — they are model-budget errors and never retried.
+// order, not arrival order. Delivery is reliable, as the model assumes:
+// every record sent in a round reaches its destination's inbox exactly
+// once, at the round boundary.
 //
 // On top of the raw engine, this package provides the classical O(1)-round
 // MPC toolbox the paper takes from Goodrich–Sitchinava–Zhang [GSZ11]:
 // broadcast/aggregation trees, deterministic distributed sample sort, and
 // prefix sums — and the Lemma 17 neighborhood-gathering subroutines used
-// to simulate LOCAL coloring rounds when Δ ≤ √s. The GSZ toolbox (Sort,
-// Scan, Gather*) predates the fault model and assumes reliable delivery;
-// fault tolerance covers the coloring protocols above it.
+// to simulate LOCAL coloring rounds when Δ ≤ √s.
 package mpc
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"parcolor/internal/par"
 )
@@ -72,15 +42,6 @@ type Config struct {
 	// worker budget (simulation concurrency only — the model's round
 	// semantics are unaffected). nil means the process default.
 	Par *par.Runner
-	// Transport routes each round's messages. nil means Loopback —
-	// instant, lossless, sender-ordered delivery, bit-identical to the
-	// pre-seam engine.
-	Transport Transport
-	// RoundDeadline is the per-round delivery deadline handed to the
-	// Transport (zero = unbounded). Loopback ignores it; latency-aware
-	// transports fail the round with ErrRoundTimeout when a machine's
-	// simulated delivery would exceed it.
-	RoundDeadline time.Duration
 }
 
 // Metrics aggregates model-relevant accounting across rounds.
@@ -91,7 +52,6 @@ type Metrics struct {
 	MaxReceived   int64 // high-water words received by any machine in a round
 	TotalMessages int64
 	Violations    int // space-cap violations observed (non-strict mode)
-	Retries       int // protocol-phase re-attempts after transport faults
 }
 
 // Machine is one MPC machine. Step functions may freely mutate Recs; the
@@ -160,11 +120,11 @@ func (c *Cluster) SetContext(ctx context.Context) { c.ctx = ctx }
 // Step is one machine's program for one round.
 type Step func(m *Machine, out *Mailer)
 
-// Round runs step on every machine concurrently, then routes messages
-// through the cluster's Transport and enforces the space constraints of
-// the model. A transport failure (deadline exceeded, machine lost)
-// aborts the round before any delivery: the classified error is
-// returned, inboxes are untouched, and the round is not counted.
+// Round runs step on every machine concurrently, then delivers every
+// queued record — each inbox in ascending sender order, send order kept
+// within a sender — and enforces the space constraints of the model. A
+// message to a machine outside the cluster fails the round before any
+// delivery: inboxes are untouched and the round is not counted.
 func (c *Cluster) Round(step Step) error {
 	if c.ctx != nil {
 		if err := c.ctx.Err(); err != nil {
@@ -176,37 +136,23 @@ func (c *Cluster) Round(step Step) error {
 	c.cfg.Par.For(n, func(i int) {
 		step(c.Machines[i], &mailers[i])
 	})
-	// Flatten to sender-ordered envelopes; destinations are validated and
-	// sent words accounted before the transport sees anything (a sender
-	// pays for a message whether or not it survives delivery).
-	var envs []Envelope
+	// Walking senders in ascending order builds every inbox in sender
+	// order. Inboxes are staged and installed only once every destination
+	// has been validated.
+	inboxes := make([][]Delivery, n)
 	sent := make([]int64, n)
+	recv := make([]int64, n)
+	var totalMsgs int64
 	for from := range mailers {
 		for _, m := range mailers[from].msgs {
 			if m.to < 0 || m.to >= n {
 				return fmt.Errorf("mpc: machine %d sent to invalid machine %d", from, m.to)
 			}
-			sent[from] += int64(len(m.rec))
-			envs = append(envs, Envelope{From: from, To: m.to, Rec: m.rec})
-		}
-	}
-	tp := c.cfg.Transport
-	if tp == nil {
-		tp = Loopback{}
-	}
-	inboxes, err := tp.Deliver(n, envs, c.cfg.RoundDeadline)
-	if err != nil {
-		return err
-	}
-	// Receive-side accounting measures what was actually delivered — for
-	// Loopback exactly what was sent, under faults possibly less (drops)
-	// or more (duplicates).
-	recv := make([]int64, n)
-	var totalMsgs int64
-	for to := range inboxes {
-		for _, d := range inboxes[to] {
-			recv[to] += int64(len(d.Rec))
+			w := int64(len(m.rec))
+			sent[from] += w
+			recv[m.to] += w
 			totalMsgs++
+			inboxes[m.to] = append(inboxes[m.to], Delivery{From: from, Rec: m.rec})
 		}
 	}
 	s := int64(c.cfg.LocalSpace)

@@ -2,9 +2,11 @@ package mpc
 
 import (
 	"testing"
+	"time"
 
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
+	"parcolor/internal/par"
 	"parcolor/internal/rng"
 )
 
@@ -30,6 +32,46 @@ func TestRoundDeliveryAndAccounting(t *testing.T) {
 	}
 	if c.Metrics.Rounds != 1 || c.Metrics.MaxSent != 3 || c.Metrics.TotalMessages != 2 {
 		t.Fatalf("metrics %+v", c.Metrics)
+	}
+
+	// Concurrent senders into one inbox: machine 1's inbox is in ascending
+	// sender order with each sender's send order kept, however the steps
+	// interleave. Lower ids finish later, so arrival order is reversed.
+	c, err = NewCluster(Config{Machines: 3, LocalSpace: 100, Strict: true, Par: par.NewRunner(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := [][]int{{2, 3, 4}, {2, 2}, {2, 2, 3}} // per sender, per record
+	err = c.Round(func(m *Machine, out *Mailer) {
+		time.Sleep(time.Duration(2-m.ID) * time.Millisecond)
+		for seq, w := range widths[m.ID] {
+			rec := make([]int64, w)
+			rec[0], rec[1] = int64(m.ID), int64(seq)
+			out.Send(1, rec)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbox := c.Machines[1].Inbox
+	if len(inbox) != 8 {
+		t.Fatalf("machine 1 received %d records, want 8", len(inbox))
+	}
+	i := 0
+	for from, ws := range widths {
+		for seq, w := range ws {
+			d := inbox[i]
+			if d.From != from || d.Rec[0] != int64(from) || d.Rec[1] != int64(seq) || len(d.Rec) != w {
+				t.Fatalf("inbox[%d] = from %d rec %v, want from %d seq %d width %d", i, d.From, d.Rec, from, seq, w)
+			}
+			i++
+		}
+	}
+	if len(c.Machines[0].Inbox) != 0 || len(c.Machines[2].Inbox) != 0 {
+		t.Fatal("records delivered to machines nobody sent to")
+	}
+	if c.Metrics.MaxSent != 9 || c.Metrics.MaxReceived != 20 || c.Metrics.TotalMessages != 8 {
+		t.Fatalf("metrics %+v, want MaxSent 9, MaxReceived 20, TotalMessages 8", c.Metrics)
 	}
 }
 
@@ -60,9 +102,22 @@ func TestStrictSpaceViolation(t *testing.T) {
 func TestInvalidDestination(t *testing.T) {
 	c, _ := NewCluster(Config{Machines: 2, LocalSpace: 10, Strict: true})
 	if err := c.Round(func(m *Machine, out *Mailer) {
-		out.Send(5, []int64{1})
+		out.Send(1-m.ID, []int64{int64(m.ID)})
+		if m.ID == 1 {
+			out.Send(5, []int64{1})
+		}
 	}); err == nil {
 		t.Fatal("expected invalid-destination error")
+	}
+	// The valid sends of the failed round are not delivered either, and
+	// the round is not counted.
+	for _, m := range c.Machines {
+		if len(m.Inbox) != 0 {
+			t.Fatalf("machine %d inbox %v after a failed round", m.ID, m.Inbox)
+		}
+	}
+	if c.Metrics.Rounds != 0 {
+		t.Fatalf("failed round counted: Rounds = %d", c.Metrics.Rounds)
 	}
 }
 

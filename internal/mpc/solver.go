@@ -26,18 +26,14 @@ type MPCSolveStats struct {
 	MPCRounds  int // total engine rounds, incl. selection trees
 	Residue    int // nodes colored by the machine-0 greedy
 	SeedsTried int
-	Retries    int // protocol-phase re-attempts after transport faults
 }
 
 // DeterministicColorMPC runs the solver. seedBits bounds the per-round
 // seed space (Θ(log Δ) in the paper). ctx cancels the run at every engine
-// round boundary (the cluster checks it before executing a round) and
-// inside fault-recovery backoff waits; tr, if non-nil, observes one phase
-// per derandomized TRC round plus the residue greedy and any retry spans.
-// opt carries the seed-selection variant and the RetryPolicy under which
-// lossy-transport phases recover; the zero value (no retries, row
-// protocol) is byte-identical to the historical behavior on a loopback
-// cluster.
+// round boundary (the cluster checks it before executing a round); tr, if
+// non-nil, observes one phase per derandomized TRC round plus the residue
+// greedy. opt selects the seed-selection protocol; the zero value runs the
+// row-sharded converge-cast.
 func DeterministicColorMPC(ctx context.Context, c *Cluster, in *d1lc.Instance, seedBits int, maxRounds int, tr trace.Tracer, opt RoundOptions) (_ *d1lc.Coloring, stats MPCSolveStats, _ error) {
 	g := in.G
 	n := g.N()
@@ -69,14 +65,6 @@ func DeterministicColorMPC(ctx context.Context, c *Cluster, in *d1lc.Instance, s
 	gen := prg.NewKWise(4, seedBits, n*bitsPer)
 	numSeeds := 1 << seedBits
 	start := c.Metrics.Rounds
-	startRetries := c.Metrics.Retries
-	// Retries are reported even on the error path: a caller that degrades
-	// to a fallback still wants the abandoned run's recovery cost.
-	defer func() { stats.Retries = c.Metrics.Retries - startRetries }()
-
-	if opt.Trace == nil {
-		opt.Trace = tr
-	}
 	for round := 0; round < maxRounds && col.UncoloredCount() > 0; round++ {
 		sp := trace.Begin(tr, "mpc", "trc-round", round, col.UncoloredCount())
 		_, colored, _, err := DerandomizedTRCRound(c, in, col, remaining, chunkOf, n, gen, numSeeds, opt)
@@ -93,60 +81,43 @@ func DeterministicColorMPC(ctx context.Context, c *Cluster, in *d1lc.Instance, s
 	}
 	// Theorem 12 base case: ship the residue (induced edges + palettes) to
 	// machine 0 and color greedily there. One gather round; the engine
-	// accounts the words. The gather retries like every other phase: the
-	// greedy must see every residue palette, so a dropped one is detected
-	// against the host-known residue set, never colored around.
+	// accounts the words.
 	spResidue := trace.Begin(tr, "mpc", "residue-greedy", stats.TRCRounds, col.UncoloredCount())
 	residue := make([]bool, n)
-	var pal map[int32][]int32
-	err := c.retryPhase(opt.Retry, opt.Trace, "residue-gather", func() error {
-		err := c.Round(func(m *Machine, out *Mailer) {
-			if m.ID >= n {
-				return
-			}
-			v := int32(m.ID)
-			if col.Colors[v] != d1lc.Uncolored {
-				return
-			}
-			residue[v] = true
-			msg := make([]int64, 0, len(remaining[v])+2)
-			msg = append(msg, -4, int64(v))
-			for _, cc := range remaining[v] {
-				msg = append(msg, int64(cc))
-			}
-			out.Send(0, msg)
-		})
-		if err != nil {
-			return err
+	err := c.Round(func(m *Machine, out *Mailer) {
+		if m.ID >= n {
+			return
 		}
-		pal = map[int32][]int32{}
-		for _, del := range c.Machines[0].Inbox {
-			r := del.Rec
-			if len(r) < 2 || r[0] != -4 {
-				continue
-			}
-			v := int32(r[1])
-			p := make([]int32, 0, len(r)-2)
-			for _, w := range r[2:] {
-				p = append(p, int32(w))
-			}
-			pal[v] = p
+		v := int32(m.ID)
+		if col.Colors[v] != d1lc.Uncolored {
+			return
 		}
-		c.Machines[0].Inbox = nil
-		for v := int32(0); v < int32(n); v++ {
-			if !residue[v] {
-				continue
-			}
-			if _, ok := pal[v]; !ok {
-				return fmt.Errorf("machine 0 missing residue palette of node %d: %w", v, ErrSegmentLost)
-			}
+		residue[v] = true
+		msg := make([]int64, 0, len(remaining[v])+2)
+		msg = append(msg, -4, int64(v))
+		for _, cc := range remaining[v] {
+			msg = append(msg, int64(cc))
 		}
-		return nil
+		out.Send(0, msg)
 	})
 	if err != nil {
 		spResidue.End(0, 0, 0)
 		return nil, stats, err
 	}
+	pal := map[int32][]int32{}
+	for _, del := range c.Machines[0].Inbox {
+		r := del.Rec
+		if len(r) < 2 || r[0] != -4 {
+			continue
+		}
+		v := int32(r[1])
+		p := make([]int32, 0, len(r)-2)
+		for _, w := range r[2:] {
+			p = append(p, int32(w))
+		}
+		pal[v] = p
+	}
+	c.Machines[0].Inbox = nil
 	for v := int32(0); v < int32(n); v++ {
 		if !residue[v] {
 			continue

@@ -10,15 +10,6 @@ import (
 // "O(1) rounds" here means a constant number of Round calls per call for
 // fixed machine count growth (the broadcast/aggregation trees add
 // O(log_k M) rounds with k = s/width, constant for s = n^φ).
-//
-// The toolbox assumes reliable delivery: splitter broadcasts and bucket
-// scatters have no per-message completeness accounting, so a silently
-// dropped record skews the sorted order rather than raising
-// ErrSegmentLost. Loud faults (deadlines, crashes) still abort cleanly at
-// the Round boundary. Run these routines over a lossy transport only
-// under a retry policy wrapping the whole call, or behind the solver's
-// fallback; the solve path's protocols (condexp.go, derandround.go) carry
-// their own per-phase detection and do not rely on this assumption.
 
 // Sort globally sorts all fixed-width records across machines: afterwards
 // machine i holds a lexicographically contiguous, locally sorted run, and

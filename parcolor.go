@@ -58,10 +58,8 @@ import (
 	"fmt"
 
 	"parcolor/internal/d1lc"
-	"parcolor/internal/faultinject"
 	"parcolor/internal/graph"
 	"parcolor/internal/mis"
-	"parcolor/internal/mpc"
 	"parcolor/internal/sparsify"
 )
 
@@ -264,41 +262,6 @@ func EdgeColoringInstance(g *Graph) (*Instance, [][2]int32) {
 
 // --- MPC-faithful solving -----------------------------------------------------
 
-// Fault-tolerance surface. These alias the internal implementations so
-// callers can configure lossy transports and recovery policy without
-// importing internal packages.
-type (
-	// MPCTransport delivers one MPC round's messages; implement it to put
-	// the cluster on a real (or deliberately faulty) wire. The default is
-	// the in-process loopback.
-	MPCTransport = mpc.Transport
-	// MPCRetryPolicy bounds per-phase retries after classified transport
-	// faults (see WithMPCRetry).
-	MPCRetryPolicy = mpc.RetryPolicy
-	// FaultSchedule is a deterministic, seeded fault plan for
-	// WithMPCFaults: message drops/dups/reorders, stragglers, crashes.
-	FaultSchedule = faultinject.Schedule
-	// StragglerSpan slows one machine during a tick window.
-	StragglerSpan = faultinject.StragglerSpan
-	// CrashSpan takes one machine down during a tick window.
-	CrashSpan = faultinject.CrashSpan
-)
-
-// Classified transport faults surfaced by SolveOnMPC when retries are
-// exhausted and no fallback is configured. Match with errors.Is.
-var (
-	// ErrMPCRoundTimeout: a round missed its deadline (straggler).
-	ErrMPCRoundTimeout = mpc.ErrRoundTimeout
-	// ErrMPCMachineLost: a machine crashed loudly mid-round.
-	ErrMPCMachineLost = mpc.ErrMachineLost
-	// ErrMPCSegmentLost: a protocol phase detected dropped messages.
-	ErrMPCSegmentLost = mpc.ErrSegmentLost
-)
-
-// IsMPCTransportFault reports whether err is (or wraps) one of the
-// classified transport faults above.
-func IsMPCTransportFault(err error) bool { return mpc.IsTransportFault(err) }
-
 // MPCResult is the outcome of SolveOnMPC.
 type MPCResult struct {
 	Coloring *Coloring
@@ -312,18 +275,6 @@ type MPCResult struct {
 	MaxStored, MaxSent, MaxReceived int64
 	Violations                      int
 	Machines                        int
-	// Retries counts protocol-phase re-attempts recovered from transport
-	// faults; FaultEvents counts faults injected by a WithMPCFaults
-	// schedule (0 on clean transports).
-	Retries     int
-	FaultEvents int64
-	// Degraded is set when the lossy run exhausted its retry budget and
-	// the solve fell back to a fault-free in-process cluster
-	// (WithMPCFallback); DegradedReason carries the fault that forced it.
-	// The fallback re-runs the same deterministic protocol, so the
-	// coloring is bit-identical to a fault-free run.
-	Degraded       bool
-	DegradedReason string
 }
 
 // SolveOnMPC colors the instance with every round executed on the
@@ -336,10 +287,9 @@ type MPCResult struct {
 // slower than Solve; intended for model-faithful validation and teaching.
 //
 // SolveOnMPC is the compatibility wrapper over the default Solver; use
-// Solver.SolveOnMPC for cancellation, scoped workers, tracing, and the
-// fault-tolerance options (WithMPCRetry, WithMPCFallback, WithMPCFaults).
-func SolveOnMPC(in *Instance, localSpace int, seedBits int, opts ...MPCOption) (*MPCResult, error) {
-	return defaultSolver().SolveOnMPC(context.Background(), in, localSpace, seedBits, opts...)
+// Solver.SolveOnMPC for cancellation, scoped workers and tracing.
+func SolveOnMPC(in *Instance, localSpace int, seedBits int) (*MPCResult, error) {
+	return defaultSolver().SolveOnMPC(context.Background(), in, localSpace, seedBits)
 }
 
 // --- MIS (the framework's second application) -------------------------------

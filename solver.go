@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"parcolor/internal/d1lc"
 	"parcolor/internal/deframe"
-	"parcolor/internal/faultinject"
 	"parcolor/internal/graph"
 	"parcolor/internal/greedy"
 	"parcolor/internal/hknt"
@@ -451,73 +449,13 @@ func (s *Solver) solveLowDeg(ctx context.Context, in *Instance) (*Result, error)
 	return &Result{Coloring: col, Rounds: stats.Rounds}, nil
 }
 
-// MPCOption configures one SolveOnMPC run's transport and fault
-// tolerance. The zero configuration — in-process loopback, no deadline,
-// no retries, no fallback — is byte-identical to the historical engine.
-type MPCOption func(*mpcRunConfig)
-
-type mpcRunConfig struct {
-	transport MPCTransport
-	faults    *FaultSchedule
-	retry     MPCRetryPolicy
-	deadline  time.Duration
-	fallback  bool
-}
-
-// WithMPCTransport routes every cluster round through tp instead of the
-// in-process loopback. nil restores the default.
-func WithMPCTransport(tp MPCTransport) MPCOption {
-	return func(c *mpcRunConfig) { c.transport = tp }
-}
-
-// WithMPCFaults wraps the run's transport (the loopback, or whatever
-// WithMPCTransport installed) in a deterministic fault injector driven by
-// the schedule. Injected fault counts surface in MPCResult.FaultEvents
-// and, per event, on the attached Tracer under engine "transport".
-func WithMPCFaults(sched FaultSchedule) MPCOption {
-	return func(c *mpcRunConfig) { c.faults = &sched }
-}
-
-// WithMPCRetry lets each protocol phase (palette exchange, seed
-// selection, commit, residue gather) re-attempt after a classified
-// transport fault, with exponential backoff and deterministic jitter.
-// Every retried phase rebuilds its staging from host state and defers
-// durable mutations until delivery is verified, so retries change only
-// the cost accounting — never the coloring.
-func WithMPCRetry(p MPCRetryPolicy) MPCOption {
-	return func(c *mpcRunConfig) { c.retry = p }
-}
-
-// WithMPCDeadline bounds each engine round: a transport whose simulated
-// (or real) delivery would exceed d fails the round with
-// ErrMPCRoundTimeout instead of stalling the synchronous schedule. 0
-// disables the bound.
-func WithMPCDeadline(d time.Duration) MPCOption {
-	return func(c *mpcRunConfig) { c.deadline = d }
-}
-
-// WithMPCFallback degrades gracefully when the retry budget is
-// exhausted: instead of surfacing the transport fault, the solve re-runs
-// the same deterministic protocol on a fresh fault-free in-process
-// cluster. The result is then bit-identical to a fault-free run, with
-// Degraded/DegradedReason recording the abandoned lossy attempt.
-func WithMPCFallback(enabled bool) MPCOption {
-	return func(c *mpcRunConfig) { c.fallback = enabled }
-}
-
 // SolveOnMPC runs the model-faithful MPC solver on this Solver's harness:
 // ctx cancels at every engine round boundary, the cluster's simulation
 // concurrency rides the Solver's worker budget, and the attached Tracer
 // observes one phase per derandomized TRC round. See the package-level
-// SolveOnMPC for the algorithm's description.
-//
-// opts select the transport and fault-tolerance policy. On a lossy
-// transport the solve retries faulted phases under WithMPCRetry; if the
-// budget runs out it either falls back to a fault-free in-process run
-// (WithMPCFallback) or returns a classified error (ErrMPCRoundTimeout,
-// ErrMPCMachineLost, ErrMPCSegmentLost) — by construction it never
-// returns a coloring that differs from the fault-free one.
-func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedBits int, opts ...MPCOption) (*MPCResult, error) {
+// SolveOnMPC for the algorithm's description. The coloring is checked
+// with Verify before it is returned.
+func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedBits int) (*MPCResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -530,79 +468,31 @@ func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedB
 	if seedBits == 0 {
 		seedBits = 6
 	}
-	var rc mpcRunConfig
-	for _, o := range opts {
-		if o != nil {
-			o(&rc)
-		}
-	}
-	tp := rc.transport
-	var injector *faultinject.Transport
-	if rc.faults != nil {
-		injector = faultinject.New(tp, *rc.faults, s.tracer)
-		tp = injector
-	}
 	c, err := mpc.NewCluster(mpc.Config{
-		Machines:      in.G.N() + 1,
-		LocalSpace:    localSpace,
-		Par:           s.run,
-		Transport:     tp,
-		RoundDeadline: rc.deadline,
+		Machines:   in.G.N() + 1,
+		LocalSpace: localSpace,
+		Par:        s.run,
 	})
 	if err != nil {
 		return nil, err
 	}
-	col, stats, err := mpc.DeterministicColorMPC(ctx, c, in, seedBits, 0, s.tracer, mpc.RoundOptions{
-		Retry: rc.retry,
-	})
-	degraded := false
-	degradedReason := ""
+	col, stats, err := mpc.DeterministicColorMPC(ctx, c, in, seedBits, 0, s.tracer, mpc.RoundOptions{})
 	if err != nil {
-		if !rc.fallback || !mpc.IsTransportFault(err) || ctx.Err() != nil {
-			return nil, err
-		}
-		// Graceful degradation: the lossy transport is beyond its retry
-		// budget. Re-run the identical deterministic protocol on a fresh
-		// fault-free in-process cluster — same instance, same seeds, so
-		// the coloring is bit-identical to a fault-free oracle run.
-		degraded, degradedReason = true, err.Error()
-		sp := trace.Begin(s.tracer, "mpc", "fallback", 0, in.G.N())
-		lossyRetries := c.Metrics.Retries
-		c, err = mpc.NewCluster(mpc.Config{Machines: in.G.N() + 1, LocalSpace: localSpace, Par: s.run})
-		if err != nil {
-			sp.End(0, 0, 0)
-			return nil, err
-		}
-		col, stats, err = mpc.DeterministicColorMPC(ctx, c, in, seedBits, 0, s.tracer, mpc.RoundOptions{})
-		if err != nil {
-			sp.End(0, 0, 0)
-			return nil, err
-		}
-		stats.Retries += lossyRetries
-		sp.End(0, in.G.N(), 0)
+		return nil, err
 	}
 	if err := d1lc.Verify(in, col); err != nil {
 		return nil, fmt.Errorf("parcolor: internal error, MPC solver produced invalid coloring: %w", err)
 	}
-	var faultEvents int64
-	if injector != nil {
-		fs := injector.Stats()
-		faultEvents = fs.Drops + fs.Dups + fs.Reorders + fs.Timeouts + fs.CrashedRounds
-	}
 	m := c.Metrics
 	return &MPCResult{
-		Coloring:       col,
-		MPCRounds:      stats.MPCRounds,
-		TrialRounds:    stats.TRCRounds,
-		MaxStored:      m.MaxStored,
-		MaxSent:        m.MaxSent,
-		MaxReceived:    m.MaxReceived,
-		Violations:     m.Violations,
-		Machines:       len(c.Machines),
-		Retries:        stats.Retries,
-		FaultEvents:    faultEvents,
-		Degraded:       degraded,
-		DegradedReason: degradedReason,
+		Coloring:    col,
+		MPCRounds:   stats.MPCRounds,
+		TrialRounds: stats.TRCRounds,
+		MaxStored:   m.MaxStored,
+		MaxSent:     m.MaxSent,
+		MaxReceived: m.MaxReceived,
+		Violations:  m.Violations,
+		Machines:    len(c.Machines),
 	}, nil
 }
 
