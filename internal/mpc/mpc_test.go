@@ -33,11 +33,13 @@ func TestRoundDeliveryAndAccounting(t *testing.T) {
 	if c.Metrics.Rounds != 1 || c.Metrics.MaxSent != 3 || c.Metrics.TotalMessages != 2 {
 		t.Fatalf("metrics %+v", c.Metrics)
 	}
+}
 
-	// Concurrent senders into one inbox: machine 1's inbox is in ascending
-	// sender order with each sender's send order kept, however the steps
-	// interleave. Lower ids finish later, so arrival order is reversed.
-	c, err = NewCluster(Config{Machines: 3, LocalSpace: 100, Strict: true, Par: par.NewRunner(3)})
+// Concurrent senders into one inbox: machine 1's inbox is in ascending
+// sender order with each sender's send order kept, however the steps
+// interleave. Lower ids finish later, so arrival order is reversed.
+func TestRoundInboxSenderOrder(t *testing.T) {
+	c, err := NewCluster(Config{Machines: 3, LocalSpace: 100, Strict: true, Par: par.NewRunner(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
